@@ -1,9 +1,10 @@
 """Saturate everything outside the planted independent set, fractionally.
 
 Builds the three-stage fractional matching on a gadget (complement pairing,
-layer cycles, empty-set class cycles) and validates it exactly: every vertex
-outside the planted set ends up with load equal to its weight, and every
-planted vertex carries load zero.
+bracket partners within each layer, a permutation of each class's empty-set
+vertices) and validates it exactly: every vertex outside the planted set
+ends up with load equal to its weight, and every planted vertex carries
+load zero.
 """
 
 from fractions import Fraction

@@ -14,11 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .bitsets import elements_of, spread, submasks
-from .fracmatch import FractionalMatching, _cloud_ground, _layer_range
-from .gadget import GadgetGraph, GadgetVertex, planted_independent_set, resolve_planted
+from .fracmatch import FractionalMatching, empty_set_plan, layer_plan, stage_one_partner
+from .gadget import (
+    GadgetGraph,
+    GadgetVertex,
+    complement_pairs,
+    planted_independent_set,
+    resolve_planted,
+)
 from .graphs import CheckResult, Graph, verify_matching, verify_vertex_cover
-from .kneser import build_bipartite_kneser, cycle_edges, cycle_in_subgraph, hamiltonian_cycle
 from .ulc import Planted
 
 DEFAULT_VERTEX_CAP = 200_000
@@ -229,12 +233,11 @@ def discretize_matching(
 ) -> CopyMatching:
     """Turn the full fractional matching into an integral matching on copies.
 
-    The complement pairing matches min(copies, copies) parallel copy pairs
-    per subset pair; the per-layer leftover of a small subset, four times
-    (n_k - n_partner), is spread along the same memoized Kneser cycle as the
-    fractional stage with (n_k - n_partner) copy pairs per cycle-edge
-    traversal; the empty-set leftover is spread along the class cycle with
-    half of it per incident edge (all of it, for a two-cloud class).  Copy
+    It reads the same stage plans as the fractional stages.  Each complement
+    pair gets min(copies, copies) parallel copy pairs.  A vertex u left with
+    copy_count(u) - copy_count(partner) unmatched copies by its stage-one
+    partner gets half of them on each of the two layer or empty-set arcs
+    through it, which is 2 * (n_|u| - n_partner) copy pairs per arc.  Copy
     indices are handed out sequentially per vertex, so the output is
     deterministic.  The matched set ends up being exactly the copies of the
     base vertices outside the planted independent set.
@@ -243,11 +246,12 @@ def discretize_matching(
     if fm.gadget is not gadget:
         raise ValueError("fractional matching and blowup are over different gadgets")
     chosen = resolve_planted(gadget, planted)
-    n_v = blowup.n_v_by_size
     cursors: dict[GadgetVertex, int] = {}
     pairs: list[tuple[BlowupVertex, BlowupVertex]] = []
 
     def take(u: GadgetVertex, v: GadgetVertex, count: int) -> None:
+        if count < 0:
+            raise AssertionError("copy counts are not monotone in the weight")
         if count == 0:
             return
         if fm.value(u, v) <= 0:
@@ -263,52 +267,11 @@ def discretize_matching(
         cursors[u] = cu + count
         cursors[v] = cv + count
 
-    for x in range(gadget.num_vars):
-        ground = _cloud_ground(gadget, chosen, x)
-        ground_elems = elements_of(ground)
-        gsize = len(ground_elems)
-        for s in submasks(ground):
-            comp = ground ^ s
-            if s >= comp:
-                continue
-            u, v = GadgetVertex(x, s), GadgetVertex(x, comp)
-            take(u, v, min(blowup.copy_count(u), blowup.copy_count(v)))
-        for k in _layer_range(gsize):
-            per_edge = n_v[k] - n_v[gsize - k]
-            if per_edge < 0:
-                raise AssertionError("copy counts are not monotone in the weight")
-            if per_edge == 0:
-                continue
-            cycle = hamiltonian_cycle(build_bipartite_kneser(gsize, k))
-            for a, b in cycle_edges(cycle):
-                take(
-                    GadgetVertex(x, spread(a.subset, ground_elems)),
-                    GadgetVertex(x, spread(b.subset, ground_elems)),
-                    per_edge,
-                )
-
-    m = gadget.num_colors
-    classes = (
-        ([x for x in range(gadget.num_vars) if x not in chosen.core], m),
-        (sorted(chosen.core), m - 1),
-    )
-    for members, partner_size in classes:
-        if not members:
-            continue
-        leftover = 4 * (n_v[0] - n_v[partner_size])
-        if leftover % 2:
-            raise AssertionError("empty-set leftover is odd")
-        if leftover == 0:
-            continue
-        verts = [GadgetVertex(x, 0) for x in members]
-        if len(members) == 1:
-            raise AssertionError("singleton class reached discretization")
-        if len(members) == 2:
-            take(verts[0], verts[1], leftover)
-        else:
-            cycle = cycle_in_subgraph(verts, gadget.adjacent)
-            for u, v in cycle_edges(cycle):
-                take(u, v, leftover // 2)
+    for u, v in complement_pairs(gadget, chosen):
+        take(u, v, min(blowup.copy_count(u), blowup.copy_count(v)))
+    for u, v in layer_plan(gadget, chosen) + empty_set_plan(gadget, chosen):
+        leftover = blowup.copy_count(u) - blowup.copy_count(stage_one_partner(gadget, chosen, u))
+        take(u, v, leftover // 2)
 
     is_members = set(planted_independent_set(gadget, chosen).vertices)
     is_copies = 0

@@ -16,7 +16,7 @@ from . import __version__
 from .bipartite import random_planted_biclique, sseh_gadget
 from .blowup import blow_up
 from .experiment import ExperimentConfig, run_experiment
-from .fracmatch import STRATEGIES, build_full
+from .fracmatch import build_full
 from .gadget import FLAVORS, build_gadget
 from .graphs import Bipartite, Graph
 from .lemmas import lemma_ids, verify_lemma
@@ -111,7 +111,7 @@ def _cmd_build_gadget(args) -> int:
 def _cmd_fracmatch(args) -> int:
     payload = _load_payload(args.input)
     gadget = gadget_from_payload(payload)
-    fm = build_full(gadget, strategy=args.strategy)
+    fm = build_full(gadget)
     if args.format == "json":
         _write_text(args.out, canonical_json(fracmatch_to_payload(fm)))
     elif args.format == "csv":
@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fracmatch", help="staged fractional matching of a gadget")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="hamiltonian")
+    # accepted and ignored: every build uses the one explicit stage plan
+    p.add_argument("--strategy", choices=("hamiltonian", "uniform"), help=argparse.SUPPRESS)
     _add_io(p, "json", ("json", "csv"))
     p.set_defaults(func=_cmd_fracmatch)
 

@@ -9,7 +9,6 @@ export byte-identical CSV and JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .lemmas import LEMMAS, verify_lemma
@@ -74,12 +73,6 @@ class ExperimentConfig:
             raise SchemaError(str(exc), path) from None
 
 
-def _render(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    return str(value)
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
@@ -114,7 +107,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     for params in config.points():
         report = verify_lemma(config.lemma, params)
-        row = {key: _render(value) for key, value in params.items()}
+        row = {key: str(value) for key, value in params.items()}
         row["ok"] = "yes" if report.ok else "no"
         row["failed_checks"] = ";".join(c.name for c in report.checks if not c.ok)
         rows.append(row)

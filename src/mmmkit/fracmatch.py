@@ -1,29 +1,37 @@
 """Fractional matchings on the extended gadget graph with the min edge rule.
 
-The construction has three stages.  Complement pairing puts the full min
-edge weight on every pair of complementary subsets within a cloud (with the
-planted colour removed from the ground set in core clouds).  Layer cycles
-top up the remaining deficit of small subsets by walking a Hamiltonian cycle
-of the bipartite Kneser graph of their layer, a quarter of the deficit per
-cycle-edge incidence.  Empty-set cycles saturate the (x, {}) vertices along
-a cycle through one vertex per cloud of the same class, half the deficit per
-incident cycle edge.  Together the three stages saturate exactly the
-complement of the planted independent set.
+The construction has three stages, each given by a plan: a list of arcs
+(u, v) inside the gadget that ``discretize_matching`` in the blowup module
+reads too.  Complement pairing puts the full min edge weight on every pair of
+complementary subsets within a cloud's ground (the colour set, minus the
+planted colour in core clouds).  That leaves a vertex u of a cloud with
+ground size g the deficit mu(|u|) - mu(g - |u|).  The layer stage sends each
+small subset A (2|A| < g) to its bracket partner, a disjoint subset of the
+same size; the empty-set stage sends each (x, {}) to (sigma(x), {}) for a
+permutation sigma of its class with x ~ sigma(x).  Both maps are bijections,
+so every vertex is the tail of one arc and the head of one, and half its
+deficit on each arc saturates it.  Together the three stages saturate
+exactly the complement of the planted independent set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterator
 
-from .bitsets import elements_of, k_subset_masks, spread, submasks
-from .gadget import GadgetGraph, GadgetVertex, planted_independent_set, resolve_planted
-from .kneser import build_bipartite_kneser, cycle_edges, cycle_in_subgraph, hamiltonian_cycle
+from .bipartite import cycle_cover
+from .bitsets import elements_of, submasks
+from .gadget import (
+    GadgetGraph,
+    GadgetVertex,
+    cloud_ground,
+    complement_pairs,
+    planted_independent_set,
+    resolve_planted,
+)
 from .ulc import Planted
 
-STRATEGIES = ("hamiltonian", "uniform")
+Arc = tuple[GadgetVertex, GadgetVertex]
 
 
 class FractionalMatching:
@@ -109,10 +117,78 @@ class SaturationReport:
         return self.support_ok and self.capacity_ok and self.budget_ok
 
 
-def _cloud_ground(gadget: GadgetGraph, planted: Planted, x: int) -> int:
-    if x in planted.core:
-        return gadget.full_mask & ~(1 << planted.labelling[x])
-    return gadget.full_mask
+def bracket_partner(subset: int, ground: int) -> int:
+    """The k-subset of ``ground`` disjoint from ``subset`` (k = |subset|,
+    2k < |ground|) that the Greene-Kleitman bracket rule pairs it with.
+
+    Reading the ground's colours in ascending order, members are ``)`` and
+    non-members ``(``; each ``)`` closes the nearest open ``(`` to its left.
+    Adding the |ground| - 2k leftmost unclosed ``(`` reflects the subset to
+    the other end of its symmetric chain, and the complement of that is the
+    partner.  The map is a bijection on the k-subsets of the ground.
+    """
+    open_colours: list[int] = []
+    for c in elements_of(ground):
+        if subset >> c & 1:
+            if open_colours:
+                open_colours.pop()
+        else:
+            open_colours.append(c)
+    grown = subset
+    for c in open_colours[: ground.bit_count() - 2 * subset.bit_count()]:
+        grown |= 1 << c
+    return ground ^ grown
+
+
+def _extended(gadget: GadgetGraph, planted: Planted | None) -> Planted:
+    if gadget.flavor != "extended":
+        raise ValueError("fractional matchings need the extended flavor")
+    return resolve_planted(gadget, planted)
+
+
+def layer_plan(gadget: GadgetGraph, planted: Planted | None = None) -> list[Arc]:
+    """Stage two's arcs: every small subset A of a cloud's ground (0 < 2|A|
+    < ground size) to its bracket partner."""
+    chosen = _extended(gadget, planted)
+    arcs = []
+    for x in range(gadget.num_vars):
+        ground = cloud_ground(gadget, chosen, x)
+        for s in submasks(ground):
+            if 0 < 2 * s.bit_count() < ground.bit_count():
+                arcs.append((GadgetVertex(x, s), GadgetVertex(x, bracket_partner(s, ground))))
+    return arcs
+
+
+def empty_set_plan(gadget: GadgetGraph, planted: Planted | None = None) -> list[Arc]:
+    """Stage three's arcs: (x, {}) to (sigma(x), {}) for a permutation sigma
+    of each class (core and non-core clouds) with x ~ sigma(x).
+
+    Raises ValueError, naming the class, when no such sigma exists, as for a
+    class of one cloud or a star of clouds.
+    """
+    chosen = _extended(gadget, planted)
+    classes = (
+        ("non-core", [x for x in range(gadget.num_vars) if x not in chosen.core]),
+        ("core", sorted(chosen.core)),
+    )
+    arcs = []
+    for name, members in classes:
+        if not members:
+            continue
+        sigma = cycle_cover([GadgetVertex(x, 0) for x in members], gadget.adjacent)
+        if sigma is None:
+            raise ValueError(
+                f"the empty-set vertices of the {name} class (variables {members}) "
+                "have no fractional perfect matching, so they cannot be saturated"
+            )
+        arcs.extend(sigma.items())
+    return arcs
+
+
+def stage_one_partner(gadget: GadgetGraph, planted: Planted, u: GadgetVertex) -> GadgetVertex:
+    """The complement of u within its cloud's ground, which stage one pairs
+    u with; u's deficit after stage one is w(u) - w(partner)."""
+    return GadgetVertex(u.variable, cloud_ground(gadget, planted, u.variable) ^ u.subset)
 
 
 def build_complement_pairing(
@@ -124,131 +200,44 @@ def build_complement_pairing(
     set minus the planted colour for core clouds; subsets containing the
     planted colour are left untouched there.
     """
-    if gadget.flavor != "extended":
-        raise ValueError("fractional matchings need the extended flavor")
-    chosen = resolve_planted(gadget, planted)
+    chosen = _extended(gadget, planted)
     fm = FractionalMatching(gadget)
-    for x in range(gadget.num_vars):
-        ground = _cloud_ground(gadget, chosen, x)
-        for s in submasks(ground):
-            comp = ground ^ s
-            if s >= comp:
-                continue
-            u, v = GadgetVertex(x, s), GadgetVertex(x, comp)
-            fm.add(u, v, gadget.edge_weight(u, v, "min"))
+    for u, v in complement_pairs(gadget, chosen):
+        fm.add(u, v, gadget.edge_weight(u, v, "min"))
     return fm
 
 
-def _layer_range(ground_size: int) -> Iterator[int]:
-    k = 1
-    while 2 * k < ground_size:
-        yield k
-        k += 1
-
-
-def build_layer_cycles(
-    gadget: GadgetGraph,
-    planted: Planted | None = None,
-    strategy: str = "hamiltonian",
-) -> FractionalMatching:
-    """Stage two: per-layer deficit distribution for small subsets.
-
-    For each cloud and each layer 0 < k < ground/2, a size-k subset is left
-    with deficit mu(k) - mu(ground - k) by the complement pairing.  The
-    hamiltonian strategy walks a Hamiltonian cycle of the layer's bipartite
-    Kneser graph and lays a quarter of the deficit on each cycle edge; every
-    subset appears on both sides and collects exactly four incidences.  The
-    uniform strategy spreads the deficit equally over all of the subset's
-    disjoint same-size partners instead.  Both saturate the layer exactly.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}")
-    if gadget.flavor != "extended":
-        raise ValueError("fractional matchings need the extended flavor")
-    chosen = resolve_planted(gadget, planted)
+def _half_deficits(gadget: GadgetGraph, planted: Planted, arcs: list[Arc]) -> FractionalMatching:
     fm = FractionalMatching(gadget)
-    mu = gadget.weight_by_size
-    for x in range(gadget.num_vars):
-        ground = _cloud_ground(gadget, chosen, x)
-        ground_elems = elements_of(ground)
-        gsize = len(ground_elems)
-        for k in _layer_range(gsize):
-            deficit = mu[k] - mu[gsize - k]
-            if strategy == "hamiltonian":
-                cycle = hamiltonian_cycle(build_bipartite_kneser(gsize, k))
-                quarter = deficit / 4
-                for a, b in cycle_edges(cycle):
-                    u = GadgetVertex(x, spread(a.subset, ground_elems))
-                    v = GadgetVertex(x, spread(b.subset, ground_elems))
-                    fm.add(u, v, quarter)
-            else:
-                degree = comb(gsize - k, k)
-                share = deficit / degree
-                masks = [spread(m, ground_elems) for m in k_subset_masks(gsize, k)]
-                for i, s1 in enumerate(masks):
-                    for s2 in masks[i + 1 :]:
-                        if s1 & s2 == 0:
-                            fm.add(GadgetVertex(x, s1), GadgetVertex(x, s2), share)
+    for u, v in arcs:
+        partner = stage_one_partner(gadget, planted, u)
+        fm.add(u, v, (gadget.vertex_weight(u) - gadget.vertex_weight(partner)) / 2)
     return fm
+
+
+def build_layer_cycles(gadget: GadgetGraph, planted: Planted | None = None) -> FractionalMatching:
+    """Stage two: half the deficit of every small subset on each arc of
+    ``layer_plan`` through it, one as tail and one as head."""
+    chosen = _extended(gadget, planted)
+    return _half_deficits(gadget, chosen, layer_plan(gadget, chosen))
 
 
 def build_empty_set_cycles(
     gadget: GadgetGraph, planted: Planted | None = None
 ) -> FractionalMatching:
-    """Stage three: saturate the (x, {}) vertices along per-class cycles.
-
-    Clouds split into two classes, core and non-core, whose empty-set
-    deficits differ (the complement pairing matched the empty set against
-    the full ground set, whose size differs by one).  A class of size >= 3
-    uses a Hamiltonian cycle through its empty-set vertices, half the
-    deficit per edge; a class of size 2 puts the whole deficit on the single
-    connecting edge; a singleton class cannot be saturated and is an error.
-    """
-    if gadget.flavor != "extended":
-        raise ValueError("fractional matchings need the extended flavor")
-    chosen = resolve_planted(gadget, planted)
-    fm = FractionalMatching(gadget)
-    mu = gadget.weight_by_size
-    m = gadget.num_colors
-    classes = (
-        ("non-core", [x for x in range(gadget.num_vars) if x not in chosen.core], mu[0] - mu[m]),
-        ("core", sorted(chosen.core), mu[0] - mu[m - 1] if m >= 1 else Fraction(0)),
-    )
-    for name, members, deficit in classes:
-        if not members:
-            continue
-        if len(members) == 1:
-            raise ValueError(
-                f"cannot saturate the empty-set vertex of the singleton {name} class "
-                f"(variable {members[0]}); need >= 2 variables per class"
-            )
-        verts = [GadgetVertex(x, 0) for x in members]
-        if len(members) == 2:
-            u, v = verts
-            if not gadget.adjacent(u, v):
-                raise ValueError(
-                    f"the two {name} clouds {members} share no constraint edge, "
-                    "so their empty-set vertices cannot be paired"
-                )
-            fm.add(u, v, deficit)
-            continue
-        cycle = cycle_in_subgraph(verts, gadget.adjacent)
-        half = deficit / 2
-        for u, v in cycle_edges(cycle):
-            fm.add(u, v, half)
-    return fm
+    """Stage three: half the deficit of every (x, {}) on each arc of
+    ``empty_set_plan`` through it; a 2-cycle of sigma puts the whole deficit
+    on its one edge."""
+    chosen = _extended(gadget, planted)
+    return _half_deficits(gadget, chosen, empty_set_plan(gadget, chosen))
 
 
-def build_full(
-    gadget: GadgetGraph,
-    planted: Planted | None = None,
-    strategy: str = "hamiltonian",
-) -> FractionalMatching:
+def build_full(gadget: GadgetGraph, planted: Planted | None = None) -> FractionalMatching:
     """All three stages combined into one fractional matching."""
     chosen = resolve_planted(gadget, planted)
     return combine(
         build_complement_pairing(gadget, chosen),
-        build_layer_cycles(gadget, chosen, strategy),
+        build_layer_cycles(gadget, chosen),
         build_empty_set_cycles(gadget, chosen),
     )
 

@@ -207,9 +207,42 @@ def resolve_planted(gadget: GadgetGraph, planted: Planted | None) -> Planted:
         raise ValueError("the instance has no planted labelling and none was supplied")
     if len(chosen.labelling) != gadget.num_vars:
         raise ValueError("planted labelling does not cover every variable")
+    for x, label in enumerate(chosen.labelling):
+        if label not in range(gadget.num_colors):
+            raise ValueError(
+                f"planted labelling gives variable {x} colour {label!r}, "
+                f"outside 0..{gadget.num_colors - 1}"
+            )
+    for x in chosen.core:
+        if x not in range(gadget.num_vars):
+            raise ValueError(
+                f"planted core names variable {x!r}, outside 0..{gadget.num_vars - 1}"
+            )
     if chosen.core and gadget.num_colors < 2:
         raise ValueError("planted constructions with a nonempty core need at least 2 colours")
     return chosen
+
+
+def cloud_ground(gadget: GadgetGraph, planted: Planted, x: int) -> int:
+    """The colours cloud x pairs its subsets within: all of them, minus the
+    planted colour in core clouds."""
+    if x in planted.core:
+        return gadget.full_mask & ~(1 << planted.labelling[x])
+    return gadget.full_mask
+
+
+def complement_pairs(
+    gadget: GadgetGraph, planted: Planted
+) -> list[tuple[GadgetVertex, GadgetVertex]]:
+    """Every subset of each cloud's ground paired with its complement there,
+    the numerically smaller subset first."""
+    pairs = []
+    for x in range(gadget.num_vars):
+        ground = cloud_ground(gadget, planted, x)
+        for s in submasks(ground):
+            if s < ground ^ s:
+                pairs.append((GadgetVertex(x, s), GadgetVertex(x, ground ^ s)))
+    return pairs
 
 
 class PlantedIndependentSet(NamedTuple):
@@ -263,24 +296,13 @@ def yes_matching(
     if gadget.flavor != "extended":
         raise ValueError("the complement pairing needs the extended flavor (intra-cloud edges)")
     chosen = resolve_planted(gadget, planted)
-    pairs: list[tuple[GadgetVertex, GadgetVertex]] = []
+    pairs = sorted(complement_pairs(gadget, chosen), key=lambda e: gadget.index(e[0]))
     seen: set[GadgetVertex] = set()
-    for x in range(gadget.num_vars):
-        if x in chosen.core:
-            ground = gadget.full_mask & ~(1 << chosen.labelling[x])
-        else:
-            ground = gadget.full_mask
-        for s in submasks(ground):
-            comp = ground ^ s
-            if s > comp or s == comp:
-                continue
-            u, v = GadgetVertex(x, s), GadgetVertex(x, comp)
-            if u in seen or v in seen:
-                raise AssertionError(f"pairing collision at {u} / {v}")
-            seen.add(u)
-            seen.add(v)
-            pairs.append((u, v))
-    pairs.sort(key=lambda e: gadget.index(e[0]))
+    for u, v in pairs:
+        if u in seen or v in seen:
+            raise AssertionError(f"pairing collision at {u} / {v}")
+        seen.add(u)
+        seen.add(v)
 
     is_members = set(planted_independent_set(gadget, chosen).vertices)
     expected = {v for v in gadget.vertices() if v not in is_members}

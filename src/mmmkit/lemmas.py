@@ -203,7 +203,7 @@ def _lemma_weighted_no(p) -> list[Check]:
 def _lemma_saturation(p) -> list[Check]:
     """The staged fractional matching saturates everything but the planted set."""
     instance, gadget = _instance_and_gadget(p)
-    fm = build_full(gadget, strategy=p.get("strategy", "hamiltonian"))
+    fm = build_full(gadget)
     report = validate(fm)
     checks = [
         Check("support-in-graph", report.support_ok, str(report.support_violation or "")),
@@ -230,7 +230,7 @@ def _lemma_blowup_completeness(p) -> list[Check]:
     instance, gadget = _instance_and_gadget(p)
     rho = _frac(p["rho"])
     blowup = blow_up(gadget, rho)
-    fm = build_full(gadget, strategy=p.get("strategy", "hamiltonian"))
+    fm = build_full(gadget)
     matching = discretize_matching(fm, blowup)
     maximal = blowup_maximality_check(blowup, matching)
     checks = [
@@ -369,7 +369,7 @@ def _lemma_total_vc(p) -> list[Check]:
     """Matched sets dominate themselves; total covers are never smaller than covers."""
     instance, gadget = _instance_and_gadget(p)
     blowup = blow_up(gadget, _frac(p["rho"]))
-    fm = build_full(gadget, strategy=p.get("strategy", "hamiltonian"))
+    fm = build_full(gadget)
     matching = discretize_matching(fm, blowup)
     matched = set()
     for u, v in matching.pairs:

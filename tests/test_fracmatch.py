@@ -74,26 +74,8 @@ def test_complement_pairing_loads(gadget):
     assert report.ok
 
 
-def test_layer_cycle_strategies_saturate_identically():
-    # ground size 5 in every cloud, so layers k = 1 and k = 2 are active
-    wide = build_gadget(generate_yes(4, 6, xi=0, seed=0), F(1, 4))
-    ham = build_layer_cycles(wide, strategy="hamiltonian")
-    uni = build_layer_cycles(wide, strategy="uniform")
-    assert ham.total_value() == uni.total_value() > 0
-    for v in wide.vertices():
-        assert ham.load(v) == uni.load(v)
-    with pytest.raises(ValueError):
-        build_layer_cycles(wide, strategy="fancy")
-
-
 def test_full_saturates_exactly_outside_planted_set(gadget):
     fm = build_full(gadget)
-    ok, reason = saturates_exactly_outside_planted_set(fm)
-    assert ok, reason
-
-
-def test_full_with_uniform_strategy(gadget):
-    fm = build_full(gadget, strategy="uniform")
     ok, reason = saturates_exactly_outside_planted_set(fm)
     assert ok, reason
 
@@ -125,7 +107,7 @@ def test_explicit_planted_override(gadget):
 
 def test_empty_set_cycles_size_two_class():
     # 8 variables at xi 1/4 put exactly 2 outside the core, so the non-core
-    # class exercises the single-edge branch
+    # class's permutation is a 2-cycle that puts the whole deficit on one edge
     inst = generate_yes(8, 2, xi=F(1, 4), seed=1)
     assert len(inst.planted.core) == 6
     gadget = build_gadget(inst, F(1, 4))
@@ -141,6 +123,33 @@ def test_empty_set_cycles_reject_singleton_class(gadget):
     lonely = Planted(lab, frozenset(range(n - 1)))
     with pytest.raises(ValueError):
         build_empty_set_cycles(gadget, planted=lonely)
+
+
+def _identity_core(edges):
+    # four variables, all labelled 0 and all in the core, identity constraints
+    inst = new_instance(4, 3, [(e, (0, 1, 2)) for e in edges])
+    inst = inst.with_planted(Planted((0, 0, 0, 0), frozenset(range(4))))
+    return build_gadget(inst, F(1, 8))
+
+
+def test_path_core_class_saturates_exactly():
+    # a path has no Hamiltonian cycle, but 0-1 and 2-3 pair its empty sets
+    gadget = _identity_core([(0, 1), (1, 2), (2, 3)])
+    ok, reason = saturates_exactly_outside_planted_set(build_full(gadget))
+    assert ok, reason
+
+
+def test_star_core_class_is_rejected_by_name():
+    gadget = _identity_core([(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(ValueError, match="core class"):
+        build_full(gadget)
+
+
+@pytest.mark.parametrize("m", [8, 10, 12])
+def test_full_saturates_exactly_at_many_colours(m):
+    gadget = build_gadget(generate_yes(4, m, xi=F(1, 2), seed=m), F(1, 8))
+    ok, reason = saturates_exactly_outside_planted_set(build_full(gadget))
+    assert ok, reason
 
 
 def test_stages_require_extended_flavor():

@@ -39,6 +39,16 @@ def test_every_lemma_passes_with_defaults(lemma_id):
     assert report.runtime_s >= 0
 
 
+def test_saturation_lemma_reaches_nine_colours():
+    report = verify_lemma("saturation", {"num_colors": 9})
+    assert report.ok, report.render_text()
+
+
+def test_blowup_completeness_reaches_eight_colours():
+    report = verify_lemma("blowup-completeness", {"num_colors": 8, "num_vars": 4, "xi": "1/2"})
+    assert report.ok, report.render_text()
+
+
 def test_verify_lemma_param_override():
     report = verify_lemma("is-weight", {"seed": 3, "epsilon": "1/8"})
     assert report.ok
@@ -161,6 +171,43 @@ def test_cli_pipeline(tmp_path):
         "blowup", "--in", str(gadget), "--rho", "1/2", "--out", str(blowup)
     ) == 0
     assert json.loads(blowup.read_text())["kind"] == "blowup_graph"
+
+
+def _gadget_file(tmp_path, edit_planted=None):
+    inst = tmp_path / "inst.json"
+    gadget = tmp_path / "gadget.json"
+    run_cli("gen-ulc", "--num-vars", "4", "--num-colors", "3", "--seed", "0", "--out", str(inst))
+    if edit_planted is not None:
+        payload = json.loads(inst.read_text())
+        edit_planted(payload["planted"])
+        inst.write_text(canonical_json(payload))
+    assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/4", "--out", str(gadget)) == 0
+    return gadget
+
+
+def test_cli_fracmatch_ignores_strategy(tmp_path):
+    gadget = _gadget_file(tmp_path)
+    plain, uniform = tmp_path / "plain.json", tmp_path / "uniform.json"
+    assert run_cli("fracmatch", "--in", str(gadget), "--out", str(plain)) == 0
+    assert run_cli(
+        "fracmatch", "--in", str(gadget), "--strategy", "uniform", "--out", str(uniform)
+    ) == 0
+    assert plain.read_bytes() == uniform.read_bytes()
+
+
+def test_cli_fracmatch_rejects_planted_label_out_of_range(tmp_path, capsys):
+    def relabel(planted):
+        planted["labelling"][planted["core"][0]] = 7
+
+    gadget = _gadget_file(tmp_path, relabel)
+    assert run_cli("fracmatch", "--in", str(gadget)) == 2
+    assert "planted labelling" in capsys.readouterr().err
+
+
+def test_cli_fracmatch_rejects_unknown_core_variable(tmp_path, capsys):
+    gadget = _gadget_file(tmp_path, lambda planted: planted["core"].append(9))
+    assert run_cli("fracmatch", "--in", str(gadget)) == 2
+    assert "planted core" in capsys.readouterr().err
 
 
 def test_cli_gen_ulc_deterministic(tmp_path):
