@@ -60,15 +60,31 @@ def k_subset_masks(n: int, k: int) -> Iterator[int]:
         mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
-def spread(mask: int, ground: tuple[int, ...]) -> int:
-    """Map an abstract mask over positions 0..len(ground)-1 onto actual elements.
+def down_closure(members: Iterable[int], width: int) -> list[int]:
+    """Subset-zeta table over the masks of ``width`` bits.
 
-    Bit i of ``mask`` becomes bit ``ground[i]`` of the result.
+    ``table[t]`` is a member that is a subset of ``t``, or -1 when no member
+    is.  This is the OR-zeta transform (Yates): a mask sees a member exactly
+    when it is one or one of its one-bit-smaller submasks sees one.  The
+    masks are swept in ascending order, so those submasks are done first,
+    and each mask stops at its first hit; that is O(width * 2^width) steps at
+    worst.  The member a mask sees is fixed by the sweep order, so the table
+    is deterministic.
     """
-    out = 0
-    m = mask
-    while m:
-        low = m & -m
-        out |= 1 << ground[low.bit_length() - 1]
-        m ^= low
-    return out
+    size = 1 << width
+    table = [-1] * size
+    for s in members:
+        if not 0 <= s < size:
+            raise ValueError(f"member {s} is not a mask of {width} bits")
+        table[s] = s
+    for t in range(1, size):
+        if table[t] < 0:
+            rest = t
+            while rest:
+                low = rest & -rest
+                seen = table[t ^ low]
+                if seen >= 0:
+                    table[t] = seen
+                    break
+                rest ^= low
+    return table

@@ -294,9 +294,10 @@ def blowup_maximality_check(blowup: BlowupGraph, matching: CopyMatching | Iterab
 
     A blowup edge joins copies of base-adjacent vertices, so the matching is
     maximal exactly when no two base vertices with unmatched copies are
-    adjacent in the base (copies of one vertex are never adjacent).  This
-    avoids scanning all copy pairs while remaining a check of the blowup
-    graph itself.
+    adjacent in the base (copies of one vertex are never adjacent).  The
+    gadget's ``edge_within`` answers that for the whole deficient set at
+    once, so no pairs are scanned, while the verdict remains one about the
+    blowup graph itself.
     """
     pairs = list(matching.pairs if isinstance(matching, CopyMatching) else matching)
     valid = verify_matching(blowup, pairs)
@@ -309,10 +310,9 @@ def blowup_maximality_check(blowup: BlowupGraph, matching: CopyMatching | Iterab
     deficient = [
         v for v in blowup.base_vertices() if matched_per_base.get(v, 0) < blowup.copy_count(v)
     ]
-    for i, u in enumerate(deficient):
-        for v in deficient[i + 1 :]:
-            if blowup.gadget.adjacent(u, v):
-                return CheckResult(False, (u, v), "base-adjacent vertices both have unmatched copies")
+    edge = blowup.gadget.edge_within(deficient)
+    if edge is not None:
+        return CheckResult(False, edge, "base-adjacent vertices both have unmatched copies")
     return CheckResult(True)
 
 

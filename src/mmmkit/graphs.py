@@ -2,8 +2,9 @@
 
 The checks in this module are deliberately independent of the constructions
 they validate: they only look at the graph through a tiny protocol
-(``vertices()``, ``edges()``, ``has_edge``, ``neighbors``), so the same code
-verifies materialized graphs and the lazily generated reduction graphs.
+(``vertices()``, ``edges()``, ``has_edge``, ``neighbors``, and ``edge_within``
+where a graph offers one), so the same code verifies materialized graphs and
+the lazily generated reduction graphs.
 """
 
 from __future__ import annotations
@@ -216,12 +217,13 @@ def verify_maximal_matching(graph, matching: Iterable[tuple[Vertex, Vertex]]) ->
 def verify_maximal_matching_via_unmatched(
     graph, matching: Iterable[tuple[Vertex, Vertex]]
 ) -> CheckResult:
-    """Maximality check that scans pairs of unmatched vertices instead of edges.
+    """Maximality check that looks at the unmatched vertices instead of edges.
 
     Equivalent to ``verify_maximal_matching``: a matching is maximal exactly
     when no edge joins two unmatched vertices.  Preferable when the graph is
-    large but the unmatched set is small; needs ``graph.vertices()`` and an
-    O(1) ``has_edge``.
+    large but the unmatched set is small.  A graph with an ``edge_within``
+    method (the gadget's independence kernel) answers for the whole unmatched
+    set at once; any other graph is scanned pair by pair with ``has_edge``.
     """
     matching = list(matching)
     valid = verify_matching(graph, matching)
@@ -229,6 +231,10 @@ def verify_maximal_matching_via_unmatched(
         raise ValueError(f"not a matching: {valid.reason} at {valid.witness!r}")
     matched = matched_vertices(matching)
     unmatched = [v for v in graph.vertices() if v not in matched]
+    edge_within = getattr(graph, "edge_within", None)
+    if edge_within is not None:
+        edge = edge_within(unmatched)
+        return CheckResult(True) if edge is None else CheckResult(False, edge, "addable edge")
     for i, u in enumerate(unmatched):
         for v in unmatched[i + 1 :]:
             if graph.has_edge(u, v):

@@ -179,12 +179,10 @@ def _lemma_weighted_no(p) -> list[Check]:
         if total + gadget.set_weight(unmatched) != 1:
             identity_ok = False
             detail = f"matching of weight {total} breaks the identity"
-        un = sorted(unmatched, key=g.index)
-        for i, u in enumerate(un):
-            for v in un[i + 1 :]:
-                if gadget.adjacent(u, v):
-                    independent_ok = False
-                    detail = f"unmatched pair {u}, {v} is adjacent"
+        edge = gadget.edge_within(unmatched)
+        if edge is not None:
+            independent_ok = False
+            detail = f"unmatched pair {edge[0]}, {edge[1]} is adjacent"
     checks = [
         Check("matched-complement-identity", identity_ok, detail or f"{count} matchings"),
         Check("unmatched-set-independent", independent_ok, detail or f"{count} matchings"),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mmmkit.bitsets import elements_of, k_subset_masks, mask_of, spread, submasks
+from mmmkit.bitsets import down_closure, elements_of, k_subset_masks, mask_of, submasks
 
 
 def test_mask_of_elements_round_trip():
@@ -39,7 +39,32 @@ def test_k_subset_masks_counts(n, k):
     assert masks == sorted(masks)
 
 
-def test_spread_maps_abstract_bits_to_ground_elements():
-    # abstract {0,2} over ground (1, 4, 6) lands on {1, 6}
-    assert spread(0b101, (1, 4, 6)) == (1 << 1) | (1 << 6)
-    assert spread(0, (1, 4, 6)) == 0
+def _check_down_closure(members, width):
+    table = down_closure(members, width)
+    assert len(table) == 1 << width
+    for t in range(1 << width):
+        below = [s for s in members if s & ~t == 0]
+        if below:
+            assert table[t] in below
+        else:
+            assert table[t] == -1
+
+
+@pytest.mark.parametrize("width", range(4))
+def test_down_closure_every_family_of_small_widths(width):
+    # every family of masks over up to 3 bits, every query mask
+    for family in range(1 << (1 << width)):
+        _check_down_closure([s for s in range(1 << width) if family >> s & 1], width)
+
+
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=20))
+))
+def test_down_closure_every_query_up_to_width_six(case):
+    width, members = case
+    _check_down_closure(members, width)
+
+
+def test_down_closure_rejects_masks_wider_than_the_table():
+    with pytest.raises(ValueError):
+        down_closure([0b100], 2)

@@ -1,8 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmmkit.gadget import (
+    FLAVORS,
     GadgetVertex,
     biased_weight,
     build_gadget,
@@ -10,7 +14,7 @@ from mmmkit.gadget import (
     resolve_planted,
     yes_matching,
 )
-from mmmkit.graphs import verify_maximal_matching_via_unmatched
+from mmmkit.graphs import verify_maximal_matching, verify_maximal_matching_via_unmatched
 from mmmkit.ulc import Planted, generate_yes, new_instance
 
 ID2 = (0, 1)
@@ -174,6 +178,16 @@ def test_planted_independent_set_rejects_inconsistent_plant():
         planted_independent_set(gadget, bad)
 
 
+def test_resolve_planted_rejects_core_inconsistent_with_labelling():
+    inst = generate_yes(4, 3, xi=0, topology="cycle", seed=5)
+    assert inst.planted.labelling[0] == 2
+    gadget = build_gadget(inst, F(1, 4))
+    # colour 0 at variable 0 breaks the core edges (0, 1) and (0, 3)
+    bad = replace(inst.planted, labelling=(0,) + inst.planted.labelling[1:])
+    with pytest.raises(ValueError, match=r"core edge \(0, 1\)"):
+        resolve_planted(gadget, bad)
+
+
 def test_resolve_planted_errors():
     gadget = build_gadget(two_var_instance(), F(1, 4))
     with pytest.raises(ValueError):
@@ -214,3 +228,85 @@ def test_yes_matching_needs_extended_flavor():
     gadget = build_gadget(two_var_instance(), F(1, 4), flavor="base")
     with pytest.raises(ValueError):
         yes_matching(gadget, Planted((0, 0), frozenset({0, 1})))
+
+
+def _pairwise_edge(gadget, vertices):
+    members = sorted(set(vertices), key=gadget.index)
+    for i, u in enumerate(members):
+        for v in members[i + 1 :]:
+            if gadget.adjacent(u, v):
+                return (u, v)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_vars=st.integers(3, 5),
+    num_colors=st.integers(1, 5),
+    flavor=st.sampled_from(FLAVORS),
+    topology=st.sampled_from(("cycle", "random")),
+    seed=st.integers(0, 2**16),
+    grow_independent=st.booleans(),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_edge_within_agrees_with_the_pairwise_scan(
+    num_vars, num_colors, flavor, topology, seed, grow_independent, rnd
+):
+    inst = generate_yes(num_vars, num_colors, xi=F(1, 4), topology=topology, seed=seed, p_edge=0.5)
+    gadget = build_gadget(inst, F(1, 4), flavor)
+    verts = list(gadget.vertices())
+    if grow_independent:
+        # a random independent set, sometimes with one more vertex on top
+        chosen = []
+        for v in rnd.sample(verts, len(verts)):
+            if len(chosen) < 11 and not any(gadget.adjacent(v, w) for w in chosen):
+                chosen.append(v)
+        if rnd.random() < 0.5:
+            chosen.append(rnd.choice(verts))
+    else:
+        chosen = rnd.sample(verts, rnd.randint(0, min(12, len(verts))))
+    witness = gadget.edge_within(chosen)
+    assert (witness is None) == (_pairwise_edge(gadget, chosen) is None)
+    if witness is not None:
+        u, v = witness
+        assert u in chosen and v in chosen
+        assert gadget.adjacent(u, v)
+
+
+def test_edge_within_witness_is_deterministic():
+    gadget = build_gadget(two_var_instance(SWAP), F(1, 4))
+    chosen = [GadgetVertex(1, 0b01), GadgetVertex(0, 0b11), GadgetVertex(0, 0b01), GadgetVertex(0, 0)]
+    witness = gadget.edge_within(chosen)
+    assert witness[0] == GadgetVertex(0, 0)  # the empty set meets every other member
+    assert gadget.adjacent(*witness)
+    assert gadget.edge_within(chosen[::-1]) == witness
+    assert gadget.edge_within(chosen[:2]) is None
+    assert gadget.edge_within([GadgetVertex(0, 0)]) is None
+    assert gadget.edge_within([]) is None
+    # across the swap constraint {0} at 0 forces {1} at 1, so {0} at 1 conflicts
+    assert gadget.edge_within([GadgetVertex(0, 0b01), GadgetVertex(1, 0b01)]) == (
+        GadgetVertex(0, 0b01),
+        GadgetVertex(1, 0b01),
+    )
+
+
+@pytest.mark.parametrize("num_vars,num_colors,xi,seed", [(4, 2, 0, 0), (6, 3, F(1, 2), 1), (5, 4, F(1, 4), 2)])
+def test_unmatched_check_agrees_with_edge_scan_on_yes_matching(num_vars, num_colors, xi, seed):
+    gadget = build_gadget(generate_yes(num_vars, num_colors, xi=xi, seed=seed), F(1, 4))
+    graph = gadget.to_graph()
+    matching = list(yes_matching(gadget))
+    assert verify_maximal_matching_via_unmatched(gadget, matching)
+    assert verify_maximal_matching(graph, matching)
+    for drop in (0, len(matching) // 2, len(matching) - 1):
+        short = matching[:drop] + matching[drop + 1 :]
+        fast = verify_maximal_matching_via_unmatched(gadget, short)
+        slow = verify_maximal_matching(graph, short)
+        assert not fast and not slow
+        assert graph.has_edge(*fast.witness)
+
+
+def test_yes_matching_is_checked_maximal_at_twelve_colours():
+    gadget = build_gadget(generate_yes(4, 12, xi=F(1, 2), seed=0), F(1, 4))
+    matching = yes_matching(gadget)
+    assert len(matching) == (gadget.n_vertices - len(planted_independent_set(gadget).vertices)) // 2
+    assert verify_maximal_matching_via_unmatched(gadget, matching)

@@ -210,6 +210,16 @@ def test_cli_fracmatch_rejects_unknown_core_variable(tmp_path, capsys):
     assert "planted core" in capsys.readouterr().err
 
 
+def test_cli_fracmatch_rejects_core_inconsistent_with_labelling(tmp_path, capsys):
+    def relabel(planted):
+        x = planted["core"][0]
+        planted["labelling"][x] = (planted["labelling"][x] + 1) % 3
+
+    gadget = _gadget_file(tmp_path, relabel)
+    assert run_cli("fracmatch", "--in", str(gadget)) == 2
+    assert "planted core edge" in capsys.readouterr().err
+
+
 def test_cli_gen_ulc_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ("gen-ulc", "--num-vars", "4", "--num-colors", "3", "--xi", "1/4", "--seed", "7")
