@@ -60,12 +60,10 @@ class Bipartisation:
             and v[1] in self.base
         )
 
-    def adjacent(self, u: BipVertex, v: BipVertex) -> bool:
+    def has_edge(self, u: BipVertex, v: BipVertex) -> bool:
         if u.side == v.side:
             return False
         return self.base.has_edge(u.base, v.base)
-
-    has_edge = adjacent
 
     def neighbors(self, v: BipVertex) -> Iterator[BipVertex]:
         other = "r" if v.side == "l" else "l"

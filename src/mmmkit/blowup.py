@@ -15,15 +15,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .fracmatch import FractionalMatching, empty_set_plan, layer_plan, stage_one_partner
-from .gadget import (
-    GadgetGraph,
-    GadgetVertex,
-    complement_pairs,
-    planted_independent_set,
-    resolve_planted,
-)
+from .gadget import GadgetGraph, GadgetVertex, complement_pairs, planted_independent_set
 from .graphs import CheckResult, Graph, verify_matching, verify_vertex_cover
-from .ulc import Planted
 
 DEFAULT_VERTEX_CAP = 200_000
 
@@ -105,12 +98,10 @@ class BlowupGraph:
             and 0 <= v[1] < self.copy_count(v[0])
         )
 
-    def adjacent(self, u: BlowupVertex, v: BlowupVertex) -> bool:
+    def has_edge(self, u: BlowupVertex, v: BlowupVertex) -> bool:
         if u.base not in self._offsets or v.base not in self._offsets:
             return False
-        return self.gadget.adjacent(u.base, v.base)
-
-    has_edge = adjacent
+        return self.gadget.has_edge(u.base, v.base)
 
     def neighbors(self, v: BlowupVertex) -> Iterator[BlowupVertex]:
         for w in self.gadget.neighbors(v.base):
@@ -226,11 +217,7 @@ class CopyMatching:
         return out
 
 
-def discretize_matching(
-    fm: FractionalMatching,
-    blowup: BlowupGraph,
-    planted: Planted | None = None,
-) -> CopyMatching:
+def discretize_matching(fm: FractionalMatching, blowup: BlowupGraph) -> CopyMatching:
     """Turn the full fractional matching into an integral matching on copies.
 
     It reads the same stage plans as the fractional stages.  Each complement
@@ -240,12 +227,12 @@ def discretize_matching(
     through it, which is 2 * (n_|u| - n_partner) copy pairs per arc.  Copy
     indices are handed out sequentially per vertex, so the output is
     deterministic.  The matched set ends up being exactly the copies of the
-    base vertices outside the planted independent set.
+    base vertices outside the independent set of the instance's planted
+    labelling.
     """
     gadget = blowup.gadget
     if fm.gadget is not gadget:
         raise ValueError("fractional matching and blowup are over different gadgets")
-    chosen = resolve_planted(gadget, planted)
     cursors: dict[GadgetVertex, int] = {}
     pairs: list[tuple[BlowupVertex, BlowupVertex]] = []
 
@@ -267,13 +254,13 @@ def discretize_matching(
         cursors[u] = cu + count
         cursors[v] = cv + count
 
-    for u, v in complement_pairs(gadget, chosen):
+    for u, v in complement_pairs(gadget):
         take(u, v, min(blowup.copy_count(u), blowup.copy_count(v)))
-    for u, v in layer_plan(gadget, chosen) + empty_set_plan(gadget, chosen):
-        leftover = blowup.copy_count(u) - blowup.copy_count(stage_one_partner(gadget, chosen, u))
+    for u, v in layer_plan(gadget) + empty_set_plan(gadget):
+        leftover = blowup.copy_count(u) - blowup.copy_count(stage_one_partner(gadget, u))
         take(u, v, leftover // 2)
 
-    is_members = set(planted_independent_set(gadget, chosen).vertices)
+    is_members = set(planted_independent_set(gadget).vertices)
     is_copies = 0
     for v in blowup.base_vertices():
         expected = 0 if v in is_members else blowup.copy_count(v)

@@ -11,7 +11,9 @@ same size; the empty-set stage sends each (x, {}) to (sigma(x), {}) for a
 permutation sigma of its class with x ~ sigma(x).  Both maps are bijections,
 so every vertex is the tail of one arc and the head of one, and half its
 deficit on each arc saturates it.  Together the three stages saturate
-exactly the complement of the planted independent set.
+exactly the complement of the planted independent set.  Every stage reads the
+planted labelling from its gadget's instance, which checked it when it was
+built.
 """
 
 from __future__ import annotations
@@ -21,15 +23,7 @@ from fractions import Fraction
 
 from .bipartite import cycle_cover
 from .bitsets import elements_of, submasks
-from .gadget import (
-    GadgetGraph,
-    GadgetVertex,
-    cloud_ground,
-    complement_pairs,
-    planted_independent_set,
-    resolve_planted,
-)
-from .ulc import Planted
+from .gadget import GadgetGraph, GadgetVertex, cloud_ground, complement_pairs, planted_independent_set
 
 Arc = tuple[GadgetVertex, GadgetVertex]
 
@@ -140,42 +134,39 @@ def bracket_partner(subset: int, ground: int) -> int:
     return ground ^ grown
 
 
-def _extended(gadget: GadgetGraph, planted: Planted | None) -> Planted:
-    if gadget.flavor != "extended":
-        raise ValueError("fractional matchings need the extended flavor")
-    return resolve_planted(gadget, planted)
-
-
-def layer_plan(gadget: GadgetGraph, planted: Planted | None = None) -> list[Arc]:
+def layer_plan(gadget: GadgetGraph) -> list[Arc]:
     """Stage two's arcs: every small subset A of a cloud's ground (0 < 2|A|
     < ground size) to its bracket partner."""
-    chosen = _extended(gadget, planted)
+    if gadget.flavor != "extended":
+        raise ValueError("fractional matchings need the extended flavor")
     arcs = []
     for x in range(gadget.num_vars):
-        ground = cloud_ground(gadget, chosen, x)
+        ground = cloud_ground(gadget, x)
         for s in submasks(ground):
             if 0 < 2 * s.bit_count() < ground.bit_count():
                 arcs.append((GadgetVertex(x, s), GadgetVertex(x, bracket_partner(s, ground))))
     return arcs
 
 
-def empty_set_plan(gadget: GadgetGraph, planted: Planted | None = None) -> list[Arc]:
+def empty_set_plan(gadget: GadgetGraph) -> list[Arc]:
     """Stage three's arcs: (x, {}) to (sigma(x), {}) for a permutation sigma
     of each class (core and non-core clouds) with x ~ sigma(x).
 
     Raises ValueError, naming the class, when no such sigma exists, as for a
     class of one cloud or a star of clouds.
     """
-    chosen = _extended(gadget, planted)
+    if gadget.flavor != "extended":
+        raise ValueError("fractional matchings need the extended flavor")
+    core = gadget.planted.core
     classes = (
-        ("non-core", [x for x in range(gadget.num_vars) if x not in chosen.core]),
-        ("core", sorted(chosen.core)),
+        ("non-core", [x for x in range(gadget.num_vars) if x not in core]),
+        ("core", sorted(core)),
     )
     arcs = []
     for name, members in classes:
         if not members:
             continue
-        sigma = cycle_cover([GadgetVertex(x, 0) for x in members], gadget.adjacent)
+        sigma = cycle_cover([GadgetVertex(x, 0) for x in members], gadget.has_edge)
         if sigma is None:
             raise ValueError(
                 f"the empty-set vertices of the {name} class (variables {members}) "
@@ -185,60 +176,54 @@ def empty_set_plan(gadget: GadgetGraph, planted: Planted | None = None) -> list[
     return arcs
 
 
-def stage_one_partner(gadget: GadgetGraph, planted: Planted, u: GadgetVertex) -> GadgetVertex:
+def stage_one_partner(gadget: GadgetGraph, u: GadgetVertex) -> GadgetVertex:
     """The complement of u within its cloud's ground, which stage one pairs
     u with; u's deficit after stage one is w(u) - w(partner)."""
-    return GadgetVertex(u.variable, cloud_ground(gadget, planted, u.variable) ^ u.subset)
+    return GadgetVertex(u.variable, cloud_ground(gadget, u.variable) ^ u.subset)
 
 
-def build_complement_pairing(
-    gadget: GadgetGraph, planted: Planted | None = None
-) -> FractionalMatching:
+def build_complement_pairing(gadget: GadgetGraph) -> FractionalMatching:
     """Stage one: the min edge weight on every complementary subset pair.
 
     Within each cloud the ground set is the full colour set, or the colour
     set minus the planted colour for core clouds; subsets containing the
     planted colour are left untouched there.
     """
-    chosen = _extended(gadget, planted)
+    if gadget.flavor != "extended":
+        raise ValueError("fractional matchings need the extended flavor")
     fm = FractionalMatching(gadget)
-    for u, v in complement_pairs(gadget, chosen):
+    for u, v in complement_pairs(gadget):
         fm.add(u, v, gadget.edge_weight(u, v, "min"))
     return fm
 
 
-def _half_deficits(gadget: GadgetGraph, planted: Planted, arcs: list[Arc]) -> FractionalMatching:
+def _half_deficits(gadget: GadgetGraph, arcs: list[Arc]) -> FractionalMatching:
     fm = FractionalMatching(gadget)
     for u, v in arcs:
-        partner = stage_one_partner(gadget, planted, u)
+        partner = stage_one_partner(gadget, u)
         fm.add(u, v, (gadget.vertex_weight(u) - gadget.vertex_weight(partner)) / 2)
     return fm
 
 
-def build_layer_cycles(gadget: GadgetGraph, planted: Planted | None = None) -> FractionalMatching:
+def build_layer_cycles(gadget: GadgetGraph) -> FractionalMatching:
     """Stage two: half the deficit of every small subset on each arc of
     ``layer_plan`` through it, one as tail and one as head."""
-    chosen = _extended(gadget, planted)
-    return _half_deficits(gadget, chosen, layer_plan(gadget, chosen))
+    return _half_deficits(gadget, layer_plan(gadget))
 
 
-def build_empty_set_cycles(
-    gadget: GadgetGraph, planted: Planted | None = None
-) -> FractionalMatching:
+def build_empty_set_cycles(gadget: GadgetGraph) -> FractionalMatching:
     """Stage three: half the deficit of every (x, {}) on each arc of
     ``empty_set_plan`` through it; a 2-cycle of sigma puts the whole deficit
     on its one edge."""
-    chosen = _extended(gadget, planted)
-    return _half_deficits(gadget, chosen, empty_set_plan(gadget, chosen))
+    return _half_deficits(gadget, empty_set_plan(gadget))
 
 
-def build_full(gadget: GadgetGraph, planted: Planted | None = None) -> FractionalMatching:
+def build_full(gadget: GadgetGraph) -> FractionalMatching:
     """All three stages combined into one fractional matching."""
-    chosen = resolve_planted(gadget, planted)
     return combine(
-        build_complement_pairing(gadget, chosen),
-        build_layer_cycles(gadget, chosen),
-        build_empty_set_cycles(gadget, chosen),
+        build_complement_pairing(gadget),
+        build_layer_cycles(gadget),
+        build_empty_set_cycles(gadget),
     )
 
 
@@ -255,7 +240,7 @@ def validate(fm: FractionalMatching) -> SaturationReport:
     support_ok, support_violation = True, None
     capacity_ok, capacity_violation = True, None
     for u, v, value in fm.support():
-        if not gadget.adjacent(u, v):
+        if not gadget.has_edge(u, v):
             support_ok, support_violation = False, (u, v)
             break
         cap = gadget.edge_weight(u, v, "min")
@@ -289,18 +274,15 @@ def validate(fm: FractionalMatching) -> SaturationReport:
     )
 
 
-def saturates_exactly_outside_planted_set(
-    fm: FractionalMatching, planted: Planted | None = None
-) -> tuple[bool, str]:
+def saturates_exactly_outside_planted_set(fm: FractionalMatching) -> tuple[bool, str]:
     """Convenience check used by the verification campaigns: valid matching,
-    saturated set equal to the complement of the planted independent set,
-    and zero load on the planted set itself."""
+    saturated set equal to the complement of the independent set of the
+    instance's planted labelling, and zero load on that set itself."""
     gadget = fm.gadget
-    chosen = resolve_planted(gadget, planted)
+    is_vertices = set(planted_independent_set(gadget).vertices)
     report = validate(fm)
     if not report.ok:
         return False, "invalid fractional matching"
-    is_vertices = set(planted_independent_set(gadget, chosen).vertices)
     saturated = set(report.saturated)
     expected = {v for v in gadget.vertices() if v not in is_vertices}
     if saturated != expected:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .bitsets import down_closure, elements_of, submasks
 from .graphs import Graph
-from .ulc import MAX_COLORS, Planted, UlcInstance, check_labelling
+from .ulc import MAX_COLORS, Planted, UlcInstance
 
 FLAVORS = ("base", "extended")
 EDGE_RULES = ("plus", "min")
@@ -67,6 +67,18 @@ class GadgetGraph:
             for s in range(self.num_colors + 1)
         )
         self._image_tables: dict[tuple[int, int], list[int]] = {}
+
+    @property
+    def planted(self) -> Planted:
+        """The instance's planted labelling, which the instance checked when
+        it was built.  Raises ValueError when there is none, or when a
+        nonempty core meets fewer than 2 colours."""
+        planted = self.instance.planted
+        if planted is None:
+            raise ValueError("the instance has no planted labelling")
+        if planted.core and self.num_colors < 2:
+            raise ValueError("planted constructions with a nonempty core need at least 2 colours")
+        return planted
 
     # -- vertices ----------------------------------------------------------
 
@@ -125,7 +137,7 @@ class GadgetGraph:
             x1, x2, s1, s2 = x2, x1, s2, s1
         return self._image_table(x1, x2)[s1] & s2 == 0
 
-    def adjacent(self, u: GadgetVertex, v: GadgetVertex) -> bool:
+    def has_edge(self, u: GadgetVertex, v: GadgetVertex) -> bool:
         if u == v:
             return False
         if u.variable == v.variable:
@@ -133,9 +145,6 @@ class GadgetGraph:
         if not self.instance.has_constraint_edge(u.variable, v.variable):
             return False
         return self.constraint_failed(u.variable, u.subset, v.variable, v.subset)
-
-    def has_edge(self, u: GadgetVertex, v: GadgetVertex) -> bool:
-        return self.adjacent(u, v)
 
     def edge_within(
         self, vertices: Iterable[GadgetVertex]
@@ -241,51 +250,21 @@ def build_gadget(instance: UlcInstance, epsilon: Fraction, flavor: str = "extend
     return GadgetGraph(instance, epsilon, flavor)
 
 
-def resolve_planted(gadget: GadgetGraph, planted: Planted | None) -> Planted:
-    chosen = planted if planted is not None else gadget.instance.planted
-    if chosen is None:
-        raise ValueError("the instance has no planted labelling and none was supplied")
-    if len(chosen.labelling) != gadget.num_vars:
-        raise ValueError("planted labelling does not cover every variable")
-    for x, label in enumerate(chosen.labelling):
-        if label not in range(gadget.num_colors):
-            raise ValueError(
-                f"planted labelling gives variable {x} colour {label!r}, "
-                f"outside 0..{gadget.num_colors - 1}"
-            )
-    for x in chosen.core:
-        if x not in range(gadget.num_vars):
-            raise ValueError(
-                f"planted core names variable {x!r}, outside 0..{gadget.num_vars - 1}"
-            )
-    violated = check_labelling(gadget.instance, chosen.labelling, chosen.core).violated
-    if violated:
-        x1, x2 = violated[0]
-        raise ValueError(
-            f"planted core edge ({x1}, {x2}) violates its constraint: colour "
-            f"{chosen.labelling[x1]} at {x1} does not map to colour {chosen.labelling[x2]} at {x2}"
-        )
-    if chosen.core and gadget.num_colors < 2:
-        raise ValueError("planted constructions with a nonempty core need at least 2 colours")
-    return chosen
-
-
-def cloud_ground(gadget: GadgetGraph, planted: Planted, x: int) -> int:
+def cloud_ground(gadget: GadgetGraph, x: int) -> int:
     """The colours cloud x pairs its subsets within: all of them, minus the
     planted colour in core clouds."""
+    planted = gadget.planted
     if x in planted.core:
         return gadget.full_mask & ~(1 << planted.labelling[x])
     return gadget.full_mask
 
 
-def complement_pairs(
-    gadget: GadgetGraph, planted: Planted
-) -> list[tuple[GadgetVertex, GadgetVertex]]:
+def complement_pairs(gadget: GadgetGraph) -> list[tuple[GadgetVertex, GadgetVertex]]:
     """Every subset of each cloud's ground paired with its complement there,
     the numerically smaller subset first."""
     pairs = []
     for x in range(gadget.num_vars):
-        ground = cloud_ground(gadget, planted, x)
+        ground = cloud_ground(gadget, x)
         for s in submasks(ground):
             if s < ground ^ s:
                 pairs.append((GadgetVertex(x, s), GadgetVertex(x, ground ^ s)))
@@ -297,26 +276,26 @@ class PlantedIndependentSet(NamedTuple):
     weight: Fraction
 
 
-def planted_independent_set(gadget: GadgetGraph, planted: Planted | None = None) -> PlantedIndependentSet:
-    """The independent set {(x, S) : x in core, r_x in S} with its exact weight.
+def planted_independent_set(gadget: GadgetGraph) -> PlantedIndependentSet:
+    """The independent set {(x, S) : x in core, r_x in S} of the instance's
+    planted labelling, with its exact weight.
 
     The weight is summed over the members, tallied by subset size, and must
     match the closed form (|core| / |X|) * p; independence is verified with
-    ``edge_within``, so a violation (which would indicate an inconsistent
-    planted instance) is reported rather than assumed away.
+    ``edge_within``, so a violation is reported rather than assumed away.
     """
-    chosen = resolve_planted(gadget, planted)
+    planted = gadget.planted
     members: list[GadgetVertex] = []
     per_size = [0] * (gadget.num_colors + 1)
-    for x in sorted(chosen.core):
-        bit = 1 << chosen.labelling[x]
+    for x in sorted(planted.core):
+        bit = 1 << planted.labelling[x]
         for s in range(gadget.cloud_size):
             if s & bit:
                 members.append(GadgetVertex(x, s))
                 per_size[s.bit_count()] += 1
     weight = sum((n * w for n, w in zip(per_size, gadget.weight_by_size)), Fraction(0))
     p = Fraction(1, 2) - gadget.epsilon
-    formula = Fraction(len(chosen.core), gadget.num_vars) * p
+    formula = Fraction(len(planted.core), gadget.num_vars) * p
     if weight != formula:
         raise AssertionError(f"summed weight {weight} differs from closed form {formula}")
     edge = gadget.edge_within(members)
@@ -328,11 +307,9 @@ def planted_independent_set(gadget: GadgetGraph, planted: Planted | None = None)
     return PlantedIndependentSet(tuple(members), weight)
 
 
-def yes_matching(
-    gadget: GadgetGraph, planted: Planted | None = None
-) -> tuple[tuple[GadgetVertex, GadgetVertex], ...]:
+def yes_matching(gadget: GadgetGraph) -> tuple[tuple[GadgetVertex, GadgetVertex], ...]:
     """The complement-pairing matching that saturates everything outside the
-    planted independent set.
+    independent set of the instance's planted labelling.
 
     Inside a core cloud the planted colour is removed from the ground set and
     each remaining subset is matched to its complement within that ground;
@@ -342,8 +319,7 @@ def yes_matching(
     """
     if gadget.flavor != "extended":
         raise ValueError("the complement pairing needs the extended flavor (intra-cloud edges)")
-    chosen = resolve_planted(gadget, planted)
-    pairs = sorted(complement_pairs(gadget, chosen), key=lambda e: gadget.index(e[0]))
+    pairs = sorted(complement_pairs(gadget), key=lambda e: gadget.index(e[0]))
     seen: set[GadgetVertex] = set()
     for u, v in pairs:
         if u in seen or v in seen:
@@ -352,7 +328,7 @@ def yes_matching(
         seen.add(v)
 
     unmatched = [v for v in gadget.vertices() if v not in seen]
-    if set(unmatched) != set(planted_independent_set(gadget, chosen).vertices):
+    if set(unmatched) != set(planted_independent_set(gadget).vertices):
         raise AssertionError("matched set does not equal the complement of the planted set")
     edge = gadget.edge_within(unmatched)
     if edge is not None:

@@ -88,8 +88,6 @@ class Graph:
             return False
         return self._orient(u, v) in self._edge_set
 
-    adjacent = has_edge
-
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         return tuple(self._adjacency[v])
 

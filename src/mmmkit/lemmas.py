@@ -104,10 +104,10 @@ def _instance_and_gadget(p):
         p["num_vars"],
         p["num_colors"],
         xi=_frac(p["xi"]),
-        topology=p.get("topology", "cycle"),
+        topology="cycle",
         seed=p["seed"],
     )
-    return instance, build_gadget(instance, _frac(p["epsilon"]), p.get("flavor", "extended"))
+    return instance, build_gadget(instance, _frac(p["epsilon"]), "extended")
 
 
 def _lemma_is_weight(p) -> list[Check]:

@@ -63,6 +63,24 @@ def _expect(payload, key, path):
     return payload[key]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _expect_int(payload, key, path) -> int:
+    value = _expect(payload, key, path)
+    if not _is_int(value):
+        raise SchemaError(f"{key} must be an integer, got {type(value).__name__}", f"{path}.{key}")
+    return value
+
+
+def _expect_list(payload, key, path) -> list:
+    value = _expect(payload, key, path)
+    if not isinstance(value, list):
+        raise SchemaError(f"{key} must be a list, got {type(value).__name__}", f"{path}.{key}")
+    return value
+
+
 def _expect_kind(payload, kind: str, path: str = "$") -> None:
     got = _expect(payload, "kind", path)
     if got != kind:
@@ -131,23 +149,29 @@ def instance_to_payload(instance: UlcInstance) -> dict:
 
 def instance_from_payload(payload, path: str = "$") -> UlcInstance:
     _expect_kind(payload, "ulc_instance", path)
-    edges = _expect(payload, "edges", path)
-    perms = _expect(payload, "constraints", path)
+    num_vars = _expect_int(payload, "num_vars", path)
+    num_colors = _expect_int(payload, "num_colors", path)
+    edges = _expect_list(payload, "edges", path)
+    perms = _expect_list(payload, "constraints", path)
     if len(edges) != len(perms):
         raise SchemaError("edges and constraints must align", f"{path}.constraints")
     pairs = []
     for i, (edge, perm) in enumerate(zip(edges, perms)):
-        if not (isinstance(edge, list) and len(edge) == 2):
-            raise SchemaError("edge must be a pair", f"{path}.edges[{i}]")
+        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
+            raise SchemaError("edge must be a pair of integers", f"{path}.edges[{i}]")
+        if not (isinstance(perm, list) and all(map(_is_int, perm))):
+            raise SchemaError("constraint must be a list of integers", f"{path}.constraints[{i}]")
         pairs.append(((edge[0], edge[1]), perm))
-    instance = new_instance(
-        _expect(payload, "num_vars", path), _expect(payload, "num_colors", path), pairs
-    )
+    instance = new_instance(num_vars, num_colors, pairs)
     planted = payload.get("planted")
     if planted is not None:
-        labelling = _expect(planted, "labelling", f"{path}.planted")
-        core = _expect(planted, "core", f"{path}.planted")
-        instance = instance.with_planted(Planted(tuple(labelling), frozenset(core)))
+        labelling = _expect_list(planted, "labelling", f"{path}.planted")
+        core = _expect_list(planted, "core", f"{path}.planted")
+        try:
+            core = frozenset(core)
+        except TypeError:
+            raise SchemaError("core members must be integers", f"{path}.planted.core") from None
+        instance = instance.with_planted(Planted(tuple(labelling), core))
     return instance
 
 

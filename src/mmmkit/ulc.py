@@ -62,7 +62,10 @@ class UlcInstance:
     """Immutable label cover instance.
 
     ``edges[i]`` is an ordered pair (x1, x2) with x1 < x2 and
-    ``constraints[i]`` maps colours at x1 to colours at x2.
+    ``constraints[i]`` maps colours at x1 to colours at x2.  A planted
+    labelling is checked on construction: one integer colour per variable,
+    core members among the variables, and every core edge satisfied, so a
+    bad plant raises ValueError here rather than in a later stage.
     """
 
     num_vars: int
@@ -70,6 +73,31 @@ class UlcInstance:
     edges: tuple[VarEdge, ...]
     constraints: tuple[Permutation, ...]
     planted: Planted | None = None
+
+    def __post_init__(self) -> None:
+        if self.planted is None:
+            return
+        labelling, core = self.planted.labelling, self.planted.core
+        if len(labelling) != self.num_vars:
+            raise ValueError("planted labelling does not cover every variable")
+        for x, label in enumerate(labelling):
+            if not _is_int_in(label, self.num_colors):
+                raise ValueError(
+                    f"planted labelling gives variable {x} colour {label!r}, "
+                    f"outside 0..{self.num_colors - 1}"
+                )
+        for x in core:
+            if not _is_int_in(x, self.num_vars):
+                raise ValueError(
+                    f"planted core names variable {x!r}, outside 0..{self.num_vars - 1}"
+                )
+        violated = check_labelling(self, labelling, core).violated
+        if violated:
+            x1, x2 = violated[0]
+            raise ValueError(
+                f"planted core edge ({x1}, {x2}) violates its constraint: colour "
+                f"{labelling[x1]} at {x1} does not map to colour {labelling[x2]} at {x2}"
+            )
 
     @cached_property
     def _edge_index(self) -> dict[VarEdge, int]:
@@ -99,6 +127,11 @@ class UlcInstance:
 
     def with_planted(self, planted: Planted) -> "UlcInstance":
         return UlcInstance(self.num_vars, self.num_colors, self.edges, self.constraints, planted)
+
+
+def _is_int_in(value, bound: int) -> bool:
+    """True for an int (not a bool) in range(bound)."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < bound
 
 
 def _validate_permutation(perm: Sequence[int], num_colors: int) -> Permutation:
@@ -235,13 +268,9 @@ def generate_yes(
             rng.shuffle(perm)
             constraints.append(tuple(perm))
 
-    instance = UlcInstance(
+    return UlcInstance(
         num_vars, num_colors, tuple(edges), tuple(constraints), Planted(labelling, core)
     )
-    report = check_labelling(instance, labelling, core)
-    if report.violated:
-        raise AssertionError(f"generator produced an inconsistent core edge {report.violated[0]}")
-    return instance
 
 
 def _lookup(labelling, x: int):

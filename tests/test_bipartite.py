@@ -43,10 +43,10 @@ def test_doubling_structure():
     verts = list(bip.vertices())
     assert len(verts) == bip.n_vertices == 6
     assert [bip.index(v) for v in verts] == list(range(6))
-    assert bip.adjacent(BipVertex("l", 0), BipVertex("r", 1))
-    assert bip.adjacent(BipVertex("r", 0), BipVertex("l", 1))
-    assert not bip.adjacent(BipVertex("l", 0), BipVertex("l", 1))
-    assert not bip.adjacent(BipVertex("l", 0), BipVertex("r", 0))
+    assert bip.has_edge(BipVertex("l", 0), BipVertex("r", 1))
+    assert bip.has_edge(BipVertex("r", 0), BipVertex("l", 1))
+    assert not bip.has_edge(BipVertex("l", 0), BipVertex("l", 1))
+    assert not bip.has_edge(BipVertex("l", 0), BipVertex("r", 0))
     assert BipVertex("l", 2) in bip
     assert BipVertex("x", 2) not in bip
     assert BipVertex("l", 7) not in bip
@@ -62,7 +62,7 @@ def test_doubling_edge_count_and_views():
     bp = bip.to_bipartite()
     assert bp.n_edges == 2 * base.n_edges
     for v in bip.vertices():
-        assert set(bip.neighbors(v)) == {u for u in bip.vertices() if bip.adjacent(v, u)}
+        assert set(bip.neighbors(v)) == {u for u in bip.vertices() if bip.has_edge(v, u)}
 
 
 def test_double_matching_doubles_and_preserves_maximality():

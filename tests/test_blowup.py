@@ -74,11 +74,11 @@ def test_adjacency_inherited_not_within_copies(small):
     gadget, blowup = small
     u0 = BlowupVertex(GadgetVertex(0, 0), 0)
     u1 = BlowupVertex(GadgetVertex(0, 0), 1)
-    assert not blowup.adjacent(u0, u1)
+    assert not blowup.has_edge(u0, u1)
     v = BlowupVertex(GadgetVertex(0, 0b1), 3)
-    assert blowup.adjacent(u0, v) == gadget.adjacent(u0.base, v.base)
+    assert blowup.has_edge(u0, v) == gadget.has_edge(u0.base, v.base)
     dropped = BlowupVertex(GadgetVertex(0, 0b11), 0)
-    assert not blowup.adjacent(u0, dropped)
+    assert not blowup.has_edge(u0, dropped)
 
 
 def test_edges_skip_dropped_vertices(small):
@@ -203,11 +203,10 @@ def test_matched_copies_cover_matches_vc_bound():
     # on a tiny blowup the matched vertices of the discretized matching form
     # a cover whose size dominates twice the minimum
     inst = new_instance(3, 1, [((0, 1), (0,)), ((1, 2), (0,)), ((0, 2), (0,))])
-    planted = Planted((0, 0, 0), frozenset())
-    gadget = build_gadget(inst, F(1, 4))
+    gadget = build_gadget(inst.with_planted(Planted((0, 0, 0), frozenset())), F(1, 4))
     blowup = blow_up(gadget, F(3, 2))
-    fm = build_full(gadget, planted=planted)
-    cm = discretize_matching(fm, blowup, planted=planted)
+    fm = build_full(gadget)
+    cm = discretize_matching(fm, blowup)
     g = blowup.to_graph()
     cover = sorted(cm.matched_vertices(), key=blowup.index)
     assert verify_vertex_cover(g, cover)

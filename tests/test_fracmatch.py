@@ -98,8 +98,9 @@ def test_partial_core_instance():
 
 def test_explicit_planted_override(gadget):
     other = Planted(gadget.instance.planted.labelling, frozenset())
-    fm = build_full(gadget, planted=other)
-    ok, reason = saturates_exactly_outside_planted_set(fm, planted=other)
+    gadget = build_gadget(gadget.instance.with_planted(other), gadget.epsilon)
+    fm = build_full(gadget)
+    ok, reason = saturates_exactly_outside_planted_set(fm)
     assert ok, reason
     # with an empty core nothing is planted, so everything saturates
     assert len(validate(fm).saturated) == gadget.n_vertices
@@ -121,8 +122,9 @@ def test_empty_set_cycles_reject_singleton_class(gadget):
     n = gadget.num_vars
     lab = gadget.instance.planted.labelling
     lonely = Planted(lab, frozenset(range(n - 1)))
-    with pytest.raises(ValueError):
-        build_empty_set_cycles(gadget, planted=lonely)
+    gadget = build_gadget(gadget.instance.with_planted(lonely), gadget.epsilon)
+    with pytest.raises(ValueError, match="non-core class"):
+        build_empty_set_cycles(gadget)
 
 
 def _identity_core(edges):

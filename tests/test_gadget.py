@@ -11,7 +11,6 @@ from mmmkit.gadget import (
     biased_weight,
     build_gadget,
     planted_independent_set,
-    resolve_planted,
     yes_matching,
 )
 from mmmkit.graphs import verify_maximal_matching, verify_maximal_matching_via_unmatched
@@ -73,17 +72,17 @@ def test_vertex_label():
 def test_cross_cloud_adjacency_identity_constraint():
     gadget = build_gadget(two_var_instance(ID2), F(1, 4))
     # identity constraint: edge iff the two subsets are disjoint
-    assert gadget.adjacent(GadgetVertex(0, 0b01), GadgetVertex(1, 0b10))
-    assert not gadget.adjacent(GadgetVertex(0, 0b01), GadgetVertex(1, 0b01))
-    assert gadget.adjacent(GadgetVertex(0, 0), GadgetVertex(1, 0b11))
-    assert not gadget.adjacent(GadgetVertex(0, 0b11), GadgetVertex(1, 0b10))
+    assert gadget.has_edge(GadgetVertex(0, 0b01), GadgetVertex(1, 0b10))
+    assert not gadget.has_edge(GadgetVertex(0, 0b01), GadgetVertex(1, 0b01))
+    assert gadget.has_edge(GadgetVertex(0, 0), GadgetVertex(1, 0b11))
+    assert not gadget.has_edge(GadgetVertex(0, 0b11), GadgetVertex(1, 0b10))
 
 
 def test_cross_cloud_adjacency_swap_constraint():
     gadget = build_gadget(two_var_instance(SWAP), F(1, 4))
     # swap constraint: {0} maps to {1}
-    assert not gadget.adjacent(GadgetVertex(0, 0b01), GadgetVertex(1, 0b10))
-    assert gadget.adjacent(GadgetVertex(0, 0b01), GadgetVertex(1, 0b01))
+    assert not gadget.has_edge(GadgetVertex(0, 0b01), GadgetVertex(1, 0b10))
+    assert gadget.has_edge(GadgetVertex(0, 0b01), GadgetVertex(1, 0b01))
 
 
 def test_constraint_failed_orientation_symmetric():
@@ -98,11 +97,11 @@ def test_intra_cloud_edges_require_extended_flavor():
     ext = build_gadget(inst, F(1, 4), flavor="extended")
     base = build_gadget(inst, F(1, 4), flavor="base")
     u, v = GadgetVertex(0, 0b01), GadgetVertex(0, 0b10)
-    assert ext.adjacent(u, v)
-    assert not base.adjacent(u, v)
-    assert not ext.adjacent(u, u)
+    assert ext.has_edge(u, v)
+    assert not base.has_edge(u, v)
+    assert not ext.has_edge(u, u)
     # overlapping subsets never get an intra-cloud edge
-    assert not ext.adjacent(GadgetVertex(0, 0b01), GadgetVertex(0, 0b11))
+    assert not ext.has_edge(GadgetVertex(0, 0b01), GadgetVertex(0, 0b11))
     with pytest.raises(ValueError):
         build_gadget(inst, F(1, 4), flavor="bogus")
 
@@ -110,7 +109,7 @@ def test_intra_cloud_edges_require_extended_flavor():
 def test_unrelated_variables_never_adjacent():
     inst = new_instance(3, 2, [((0, 1), ID2)])
     gadget = build_gadget(inst, F(1, 4), flavor="base")
-    assert not gadget.adjacent(GadgetVertex(0, 0), GadgetVertex(2, 0))
+    assert not gadget.has_edge(GadgetVertex(0, 0), GadgetVertex(2, 0))
 
 
 @pytest.mark.parametrize("flavor", ["base", "extended"])
@@ -122,13 +121,13 @@ def test_edges_and_neighbors_agree_with_adjacency(flavor):
         (u, v)
         for i, u in enumerate(verts)
         for v in verts[i + 1 :]
-        if gadget.adjacent(u, v)
+        if gadget.has_edge(u, v)
     }
     listed = list(gadget.edges())
     assert len(listed) == len(set(listed))
     assert {(u, v) if gadget.index(u) < gadget.index(v) else (v, u) for u, v in listed} == by_rule
     for v in verts:
-        assert set(gadget.neighbors(v)) == {u for u in verts if gadget.adjacent(v, u)}
+        assert set(gadget.neighbors(v)) == {u for u in verts if gadget.has_edge(v, u)}
 
 
 def test_to_graph_materializes_same_edges():
@@ -169,47 +168,46 @@ def test_planted_independent_set_partial_core():
     assert all(v.variable in core for v in planted.vertices)
 
 
-def test_planted_independent_set_rejects_inconsistent_plant():
+def test_with_planted_rejects_inconsistent_plant():
     inst = two_var_instance(SWAP)
-    gadget = build_gadget(inst, F(1, 4))
     # swap maps 0 to 1, so labelling both endpoints 0 breaks the constraint
     bad = Planted((0, 0), frozenset({0, 1}))
-    with pytest.raises(ValueError):
-        planted_independent_set(gadget, bad)
+    with pytest.raises(ValueError, match=r"planted core edge \(0, 1\)"):
+        inst.with_planted(bad)
 
 
-def test_resolve_planted_rejects_core_inconsistent_with_labelling():
+def test_with_planted_rejects_core_inconsistent_with_labelling():
     inst = generate_yes(4, 3, xi=0, topology="cycle", seed=5)
     assert inst.planted.labelling[0] == 2
-    gadget = build_gadget(inst, F(1, 4))
     # colour 0 at variable 0 breaks the core edges (0, 1) and (0, 3)
     bad = replace(inst.planted, labelling=(0,) + inst.planted.labelling[1:])
     with pytest.raises(ValueError, match=r"core edge \(0, 1\)"):
-        resolve_planted(gadget, bad)
+        inst.with_planted(bad)
 
 
-def test_resolve_planted_errors():
+def test_gadget_planted_errors():
     gadget = build_gadget(two_var_instance(), F(1, 4))
-    with pytest.raises(ValueError):
-        resolve_planted(gadget, None)
-    with pytest.raises(ValueError):
-        resolve_planted(gadget, Planted((0,), frozenset({0})))
-    one_color = build_gadget(new_instance(2, 1, []), F(1, 4))
-    with pytest.raises(ValueError):
-        resolve_planted(one_color, Planted((0, 0), frozenset({0})))
+    with pytest.raises(ValueError, match="no planted labelling"):
+        gadget.planted
+    with pytest.raises(ValueError, match="planted labelling"):
+        two_var_instance().with_planted(Planted((0,), frozenset({0})))
+    one_color = build_gadget(new_instance(2, 1, []).with_planted(Planted((0, 0), frozenset({0}))), F(1, 4))
+    with pytest.raises(ValueError, match="at least 2 colours"):
+        one_color.planted
+    with pytest.raises(ValueError, match="at least 2 colours"):
+        planted_independent_set(one_color)
 
 
 def test_yes_matching_saturates_complement_exactly():
-    inst = two_var_instance()
+    inst = two_var_instance().with_planted(Planted((0, 0), frozenset({0, 1})))
     gadget = build_gadget(inst, F(1, 4))
-    planted = Planted((0, 0), frozenset({0, 1}))
-    matching = yes_matching(gadget, planted)
+    matching = yes_matching(gadget)
     assert matching == (
         (GadgetVertex(0, 0), GadgetVertex(0, 0b10)),
         (GadgetVertex(1, 0), GadgetVertex(1, 0b10)),
     )
     assert gadget.matching_weight(matching, "plus") == F(3, 4)
-    assert gadget.matching_weight(matching, "plus") + planted_independent_set(gadget, planted).weight == 1
+    assert gadget.matching_weight(matching, "plus") + planted_independent_set(gadget).weight == 1
     assert verify_maximal_matching_via_unmatched(gadget, matching)
 
 
@@ -225,16 +223,17 @@ def test_yes_matching_mixed_core():
 
 
 def test_yes_matching_needs_extended_flavor():
-    gadget = build_gadget(two_var_instance(), F(1, 4), flavor="base")
-    with pytest.raises(ValueError):
-        yes_matching(gadget, Planted((0, 0), frozenset({0, 1})))
+    inst = two_var_instance().with_planted(Planted((0, 0), frozenset({0, 1})))
+    gadget = build_gadget(inst, F(1, 4), flavor="base")
+    with pytest.raises(ValueError, match="extended flavor"):
+        yes_matching(gadget)
 
 
 def _pairwise_edge(gadget, vertices):
     members = sorted(set(vertices), key=gadget.index)
     for i, u in enumerate(members):
         for v in members[i + 1 :]:
-            if gadget.adjacent(u, v):
+            if gadget.has_edge(u, v):
                 return (u, v)
     return None
 
@@ -259,7 +258,7 @@ def test_edge_within_agrees_with_the_pairwise_scan(
         # a random independent set, sometimes with one more vertex on top
         chosen = []
         for v in rnd.sample(verts, len(verts)):
-            if len(chosen) < 11 and not any(gadget.adjacent(v, w) for w in chosen):
+            if len(chosen) < 11 and not any(gadget.has_edge(v, w) for w in chosen):
                 chosen.append(v)
         if rnd.random() < 0.5:
             chosen.append(rnd.choice(verts))
@@ -270,7 +269,7 @@ def test_edge_within_agrees_with_the_pairwise_scan(
     if witness is not None:
         u, v = witness
         assert u in chosen and v in chosen
-        assert gadget.adjacent(u, v)
+        assert gadget.has_edge(u, v)
 
 
 def test_edge_within_witness_is_deterministic():
@@ -278,7 +277,7 @@ def test_edge_within_witness_is_deterministic():
     chosen = [GadgetVertex(1, 0b01), GadgetVertex(0, 0b11), GadgetVertex(0, 0b01), GadgetVertex(0, 0)]
     witness = gadget.edge_within(chosen)
     assert witness[0] == GadgetVertex(0, 0)  # the empty set meets every other member
-    assert gadget.adjacent(*witness)
+    assert gadget.has_edge(*witness)
     assert gadget.edge_within(chosen[::-1]) == witness
     assert gadget.edge_within(chosen[:2]) is None
     assert gadget.edge_within([GadgetVertex(0, 0)]) is None

@@ -173,16 +173,42 @@ def test_cli_pipeline(tmp_path):
     assert json.loads(blowup.read_text())["kind"] == "blowup_graph"
 
 
-def _gadget_file(tmp_path, edit_planted=None):
+def _instance_file(tmp_path):
     inst = tmp_path / "inst.json"
+    assert run_cli("gen-ulc", "--num-vars", "4", "--num-colors", "3", "--seed", "0", "--out", str(inst)) == 0
+    return inst
+
+
+def _gadget_file(tmp_path):
     gadget = tmp_path / "gadget.json"
-    run_cli("gen-ulc", "--num-vars", "4", "--num-colors", "3", "--seed", "0", "--out", str(inst))
-    if edit_planted is not None:
-        payload = json.loads(inst.read_text())
-        edit_planted(payload["planted"])
-        inst.write_text(canonical_json(payload))
+    inst = _instance_file(tmp_path)
     assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/4", "--out", str(gadget)) == 0
     return gadget
+
+
+def _edited_copy(path, edit, *keys):
+    """A copy of a JSON file with ``edit`` applied to the object at ``keys``."""
+    payload = json.loads(path.read_text())
+    node = payload
+    for key in keys:
+        node = node[key]
+    edit(node)
+    out = path.with_name("edited-" + path.name)
+    out.write_text(canonical_json(payload))
+    return out
+
+
+def _assert_planted_rejected(tmp_path, capsys, edit_planted, message):
+    """A bad plant stops build-gadget at the instance, and fracmatch at the
+    instance inside a gadget file, each with exit 2 and the same message."""
+    gadget = _gadget_file(tmp_path)
+    inst = _edited_copy(tmp_path / "inst.json", edit_planted, "planted")
+    capsys.readouterr()
+    assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/4") == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert run_cli("fracmatch", "--in", str(_edited_copy(gadget, edit_planted, "instance", "planted"))) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_fracmatch_ignores_strategy(tmp_path):
@@ -199,15 +225,19 @@ def test_cli_fracmatch_rejects_planted_label_out_of_range(tmp_path, capsys):
     def relabel(planted):
         planted["labelling"][planted["core"][0]] = 7
 
-    gadget = _gadget_file(tmp_path, relabel)
-    assert run_cli("fracmatch", "--in", str(gadget)) == 2
-    assert "planted labelling" in capsys.readouterr().err
+    _assert_planted_rejected(tmp_path, capsys, relabel, "planted labelling")
+
+
+@pytest.mark.parametrize("label", [-1, 1.0, True])
+def test_cli_build_gadget_rejects_planted_label_of_wrong_value_or_type(tmp_path, capsys, label):
+    def relabel(planted):
+        planted["labelling"][0] = label
+
+    _assert_planted_rejected(tmp_path, capsys, relabel, "planted labelling")
 
 
 def test_cli_fracmatch_rejects_unknown_core_variable(tmp_path, capsys):
-    gadget = _gadget_file(tmp_path, lambda planted: planted["core"].append(9))
-    assert run_cli("fracmatch", "--in", str(gadget)) == 2
-    assert "planted core" in capsys.readouterr().err
+    _assert_planted_rejected(tmp_path, capsys, lambda planted: planted["core"].append(9), "planted core")
 
 
 def test_cli_fracmatch_rejects_core_inconsistent_with_labelling(tmp_path, capsys):
@@ -215,9 +245,30 @@ def test_cli_fracmatch_rejects_core_inconsistent_with_labelling(tmp_path, capsys
         x = planted["core"][0]
         planted["labelling"][x] = (planted["labelling"][x] + 1) % 3
 
-    gadget = _gadget_file(tmp_path, relabel)
-    assert run_cli("fracmatch", "--in", str(gadget)) == 2
-    assert "planted core edge" in capsys.readouterr().err
+    _assert_planted_rejected(tmp_path, capsys, relabel, "planted core edge")
+
+
+@pytest.mark.parametrize(
+    "keys, field, value, message",
+    [
+        ((), "num_vars", "4", "num_vars must be an integer"),
+        ((), "num_colors", True, "num_colors must be an integer"),
+        ((), "edges", 5, "edges must be a list"),
+        ((), "constraints", {}, "constraints must be a list"),
+        (("edges",), 0, ["0", 1], "edge must be a pair of integers"),
+        (("constraints",), 0, 5, "constraint must be a list of integers"),
+        (("constraints",), 0, ["x", 1, 2], "constraint must be a list of integers"),
+        (("planted",), "labelling", "0120", "labelling must be a list"),
+        (("planted",), "core", 5, "core must be a list"),
+        (("planted",), "core", [[0]], "core members must be integers"),
+    ],
+)
+def test_cli_build_gadget_rejects_mistyped_instance_fields(tmp_path, capsys, keys, field, value, message):
+    inst = _edited_copy(_instance_file(tmp_path), lambda node: node.__setitem__(field, value), *keys)
+    capsys.readouterr()
+    assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/4") == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_cli_gen_ulc_deterministic(tmp_path):

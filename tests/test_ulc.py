@@ -160,3 +160,39 @@ def test_generate_yes_core_size_bound(num_vars, num_colors, seed):
     inst = generate_yes(num_vars, num_colors, xi=xi, seed=seed)
     assert len(inst.planted.core) >= (1 - xi) * num_vars
     assert check_labelling(inst, inst.planted.labelling, inst.planted.core).all_satisfied
+
+
+def _int_in(value, bound):
+    return type(value) is int and 0 <= value < bound
+
+
+@given(st.data())
+def test_with_planted_accepts_exactly_the_valid_plants(data):
+    num_vars = data.draw(st.integers(min_value=3, max_value=6))
+    num_colors = data.draw(st.integers(min_value=1, max_value=4))
+    inst = generate_yes(num_vars, num_colors, xi=Fraction(1, 3), seed=data.draw(st.integers(0, 50)))
+    # start from the generated plant and overwrite a few labels, some of them
+    # with a float, a bool or a negative number
+    labelling = list(inst.planted.labelling)
+    odd_label = st.sampled_from([-1, num_colors, 0.0, 1.0, True, False])
+    for x in data.draw(st.lists(st.integers(0, num_vars - 1), max_size=3)):
+        labelling[x] = data.draw(st.one_of(st.integers(0, num_colors - 1), odd_label))
+    core = data.draw(st.frozensets(st.one_of(st.integers(0, num_vars - 1), st.just(num_vars))))
+    planted = Planted(tuple(labelling), core)
+    valid = (
+        all(_int_in(label, num_colors) for label in labelling)
+        and all(_int_in(x, num_vars) for x in core)
+        and not check_labelling(inst, labelling, core).violated
+    )
+    if valid:
+        assert inst.with_planted(planted).planted == planted
+    else:
+        with pytest.raises(ValueError, match="planted"):
+            inst.with_planted(planted)
+
+
+@pytest.mark.parametrize("member", [3, -1, 1.0, True])
+def test_with_planted_rejects_core_members_outside_the_variables(member):
+    inst = new_instance(3, 2, [((0, 1), ID2)])
+    with pytest.raises(ValueError, match="planted core names variable"):
+        inst.with_planted(Planted((0, 0, 0), frozenset({member})))
