@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .fracmatch import FractionalMatching, empty_set_plan, layer_plan, stage_one_partner
 from .gadget import GadgetGraph, GadgetVertex, complement_pairs, planted_independent_set
-from .graphs import CheckResult, Graph, verify_matching, verify_vertex_cover
+from .graphs import CheckResult, Graph, verify_vertex_cover
 
 DEFAULT_VERTEX_CAP = 200_000
 
@@ -206,9 +206,6 @@ class CopyMatching:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def base_edges(self) -> set[tuple[GadgetVertex, GadgetVertex]]:
-        return {(u.base, v.base) for u, v in self.pairs}
-
     def matched_vertices(self) -> set[BlowupVertex]:
         out: set[BlowupVertex] = set()
         for u, v in self.pairs:
@@ -224,33 +221,35 @@ def discretize_matching(fm: FractionalMatching, blowup: BlowupGraph) -> CopyMatc
     pair gets min(copies, copies) parallel copy pairs.  A vertex u left with
     copy_count(u) - copy_count(partner) unmatched copies by its stage-one
     partner gets half of them on each of the two layer or empty-set arcs
-    through it, which is 2 * (n_|u| - n_partner) copy pairs per arc.  Copy
-    indices are handed out sequentially per vertex, so the output is
-    deterministic.  The matched set ends up being exactly the copies of the
-    base vertices outside the independent set of the instance's planted
-    labelling.
+    through it, which is 2 * (n_|u| - n_partner) copy pairs per arc.  Every
+    arc used must carry fractional support, read as the integer value over
+    the matching's common denominator.  Copy indices are handed out
+    sequentially per vertex, and the pairs are sorted by the blowup indices
+    of their ends, so the output is deterministic.  The matched set ends up
+    being exactly the copies of the base vertices outside the gadget's
+    planted independent set, which is built and verified once per gadget.
     """
     gadget = blowup.gadget
     if fm.gadget is not gadget:
         raise ValueError("fractional matching and blowup are over different gadgets")
     cursors: dict[GadgetVertex, int] = {}
-    pairs: list[tuple[BlowupVertex, BlowupVertex]] = []
+    indexed: list[tuple[int, int, BlowupVertex, BlowupVertex]] = []
 
     def take(u: GadgetVertex, v: GadgetVertex, count: int) -> None:
         if count < 0:
             raise AssertionError("copy counts are not monotone in the weight")
         if count == 0:
             return
-        if fm.value(u, v) <= 0:
+        if fm.units(u, v) <= 0:
             raise AssertionError(f"discretization uses edge ({u}, {v}) without fractional support")
         cu, cv = cursors.get(u, 0), cursors.get(v, 0)
         if cu + count > blowup.copy_count(u) or cv + count > blowup.copy_count(v):
             raise AssertionError(f"copy budget overrun on edge ({u}, {v})")
+        iu, iv = blowup.index(BlowupVertex(u, cu)), blowup.index(BlowupVertex(v, cv))
+        if iu > iv:  # the t-th pair shifts both indices by t, so this holds for all
+            u, cu, iu, v, cv, iv = v, cv, iv, u, cu, iu
         for t in range(count):
-            a, b = BlowupVertex(u, cu + t), BlowupVertex(v, cv + t)
-            if blowup.index(a) > blowup.index(b):
-                a, b = b, a
-            pairs.append((a, b))
+            indexed.append((iu + t, iv + t, BlowupVertex(u, cu + t), BlowupVertex(v, cv + t)))
         cursors[u] = cu + count
         cursors[v] = cv + count
 
@@ -270,30 +269,44 @@ def discretize_matching(fm: FractionalMatching, blowup: BlowupGraph) -> CopyMatc
             raise AssertionError(
                 f"vertex {v} matched {cursors.get(v, 0)} of {blowup.copy_count(v)} copies, expected {expected}"
             )
-    if 2 * len(pairs) != blowup.n_vertices - is_copies:
+    if 2 * len(indexed) != blowup.n_vertices - is_copies:
         raise AssertionError("matched copy count does not complement the planted copies")
-    pairs.sort(key=lambda e: (blowup.index(e[0]), blowup.index(e[1])))
-    return CopyMatching(tuple(pairs))
+    indexed.sort()
+    return CopyMatching(tuple((a, b) for _, _, a, b in indexed))
 
 
 def blowup_maximality_check(blowup: BlowupGraph, matching: CopyMatching | Iterable) -> CheckResult:
     """Maximality check that projects the unmatched copies onto base vertices.
 
-    A blowup edge joins copies of base-adjacent vertices, so the matching is
-    maximal exactly when no two base vertices with unmatched copies are
-    adjacent in the base (copies of one vertex are never adjacent).  The
-    gadget's ``edge_within`` answers that for the whole deficient set at
-    once, so no pairs are scanned, while the verdict remains one about the
-    blowup graph itself.
+    The pairs must form a matching of the blowup: every copy is used at most
+    once, and every pair's base pair is a base edge, which is tested once
+    per distinct base pair, since all copies of two base vertices are joined
+    or none are.  A blowup edge joins copies of base-adjacent vertices, so
+    the matching is maximal exactly when no two base vertices with
+    unmatched copies are adjacent in the base (copies of one vertex are
+    never adjacent).  The gadget's ``edge_within`` answers that for the
+    whole deficient set at once, so no pairs are scanned, while the verdict
+    remains one about the blowup graph itself.
     """
-    pairs = list(matching.pairs if isinstance(matching, CopyMatching) else matching)
-    valid = verify_matching(blowup, pairs)
-    if not valid:
-        raise ValueError(f"not a matching: {valid.reason} at {valid.witness!r}")
-    matched_per_base: dict[GadgetVertex, int] = {}
+    pairs = matching.pairs if isinstance(matching, CopyMatching) else matching
+    per_base_pair: dict[tuple[GadgetVertex, GadgetVertex], int] = {}
+    seen: set[BlowupVertex] = set()
     for u, v in pairs:
-        for w in (u, v):
-            matched_per_base[w.base] = matched_per_base.get(w.base, 0) + 1
+        bases = (u.base, v.base)
+        count = per_base_pair.get(bases)
+        if count is None:
+            if not blowup.has_edge(u, v):
+                raise ValueError(f"not a matching: edge not in graph at {(u, v)!r}")
+            count = 0
+        if u in seen or v in seen:
+            raise ValueError(f"not a matching: vertex matched twice at {(u, v)!r}")
+        seen.add(u)
+        seen.add(v)
+        per_base_pair[bases] = count + 1
+    matched_per_base: dict[GadgetVertex, int] = {}
+    for bases, count in per_base_pair.items():
+        for w in bases:
+            matched_per_base[w] = matched_per_base.get(w, 0) + count
     deficient = [
         v for v in blowup.base_vertices() if matched_per_base.get(v, 0) < blowup.copy_count(v)
     ]

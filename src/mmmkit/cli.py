@@ -16,7 +16,7 @@ from . import __version__
 from .bipartite import random_planted_biclique, sseh_gadget
 from .blowup import blow_up
 from .experiment import ExperimentConfig, run_experiment
-from .fracmatch import build_full
+from .fracmatch import SaturationReport, build_full, validate
 from .gadget import FLAVORS, build_gadget
 from .graphs import Bipartite, Graph
 from .lemmas import lemma_ids, verify_lemma
@@ -108,10 +108,26 @@ def _cmd_build_gadget(args) -> int:
     return 0
 
 
+def _first_violation(report: SaturationReport) -> str:
+    if not report.support_ok:
+        u, v = report.support_violation
+        return f"support edge {u.label()} ~ {v.label()} is not a gadget edge"
+    if not report.capacity_ok:
+        u, v, value, cap = report.capacity_violation
+        return f"edge {u.label()} ~ {v.label()} carries {value}, over its capacity {cap}"
+    v, load, weight = report.budget_violation
+    return f"vertex {v.label()} has load {load}, over its weight {weight}"
+
+
 def _cmd_fracmatch(args) -> int:
     payload = _load_payload(args.input)
     gadget = gadget_from_payload(payload)
     fm = build_full(gadget)
+    report = validate(fm)
+    if not report.ok:
+        print(f"error: fractional matching is invalid, nothing written: {_first_violation(report)}",
+              file=sys.stderr)
+        return 1
     if args.format == "json":
         _write_text(args.out, canonical_json(fracmatch_to_payload(fm)))
     elif args.format == "csv":

@@ -13,13 +13,22 @@ so every vertex is the tail of one arc and the head of one, and half its
 deficit on each arc saturates it.  Together the three stages saturate
 exactly the complement of the planted independent set.  Every stage reads the
 planted labelling from its gadget's instance, which checked it when it was
-built.
+built; the planted set itself is built and verified once per gadget.
+
+Every vertex weight is an integer over the gadget's common denominator
+D = 2 * num_vars * b^m, for p = 1/2 - epsilon = a/b, and so is half of any
+difference of two weights.  A ``FractionalMatching`` therefore keeps its
+values and loads as integers over D (or over a multiple of it, once a value
+with another denominator is added), the stages add integer units, and
+``validate`` compares integers; values, loads and reports still come out as
+``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .bipartite import cycle_cover
 from .bitsets import elements_of, submasks
@@ -31,42 +40,72 @@ Arc = tuple[GadgetVertex, GadgetVertex]
 class FractionalMatching:
     """Mapping from gadget edges to nonnegative exact rationals.
 
-    Values accumulate: adding to the same unordered pair twice sums the
-    contributions.  Per-vertex loads are maintained incrementally and are
-    queryable at any time.
+    Values are held as integers over a common denominator, ``denominator``,
+    which starts at the gadget's D (every vertex weight, and half of every
+    difference of weights, is an integer over it) and only ever grows to a
+    multiple of it.  Adding a value whose denominator does not divide the
+    current one rescales the container once.  Values accumulate: adding to
+    the same unordered pair twice sums the contributions.  Per-vertex loads
+    are maintained incrementally; ``value``, ``load``, ``support`` and
+    ``total_value`` hand them out as ``Fraction``.
     """
 
     def __init__(self, gadget: GadgetGraph) -> None:
         self.gadget = gadget
-        self._values: dict[tuple[GadgetVertex, GadgetVertex], Fraction] = {}
-        self._loads: dict[GadgetVertex, Fraction] = {}
+        self.denominator = gadget.denominator
+        self._values: dict[tuple[GadgetVertex, GadgetVertex], int] = {}
+        self._loads: dict[GadgetVertex, int] = {}
 
     def _key(self, u: GadgetVertex, v: GadgetVertex) -> tuple[GadgetVertex, GadgetVertex]:
         if u == v:
             raise ValueError(f"self-loop at {u}")
         return (u, v) if self.gadget.index(u) < self.gadget.index(v) else (v, u)
 
-    def add(self, u: GadgetVertex, v: GadgetVertex, value: Fraction) -> None:
-        value = Fraction(value)
-        if value < 0:
+    def _over(self, denominator: int) -> int:
+        """Rescale so that ``denominator`` divides the container's, and
+        return the factor that takes units over it to units over ours."""
+        if self.denominator % denominator:
+            factor = denominator // gcd(self.denominator, denominator)
+            self.denominator *= factor
+            self._values = {key: units * factor for key, units in self._values.items()}
+            self._loads = {v: units * factor for v, units in self._loads.items()}
+        return self.denominator // denominator
+
+    def _add_units(self, u: GadgetVertex, v: GadgetVertex, units: int) -> None:
+        """Add ``units`` / ``denominator`` to the pair."""
+        if units < 0:
             raise ValueError("negative edge value")
-        if value == 0:
+        if units == 0:
             return
         key = self._key(u, v)
-        self._values[key] = self._values.get(key, Fraction(0)) + value
+        self._values[key] = self._values.get(key, 0) + units
         for w in key:
-            self._loads[w] = self._loads.get(w, Fraction(0)) + value
+            self._loads[w] = self._loads.get(w, 0) + units
+
+    def add(self, u: GadgetVertex, v: GadgetVertex, value: Fraction) -> None:
+        value = Fraction(value)
+        self._add_units(u, v, value.numerator * self._over(value.denominator))
+
+    def units(self, u: GadgetVertex, v: GadgetVertex) -> int:
+        """The pair's value as an integer over ``denominator``."""
+        return self._values.get(self._key(u, v), 0)
 
     def value(self, u: GadgetVertex, v: GadgetVertex) -> Fraction:
-        return self._values.get(self._key(u, v), Fraction(0))
+        return Fraction(self.units(u, v), self.denominator)
 
     def load(self, v: GadgetVertex) -> Fraction:
-        return self._loads.get(v, Fraction(0))
+        return Fraction(self._loads.get(v, 0), self.denominator)
 
     def support(self) -> list[tuple[GadgetVertex, GadgetVertex, Fraction]]:
         """Positive-value edges sorted by index pairs."""
-        items = [(u, v, val) for (u, v), val in self._values.items()]
-        items.sort(key=lambda t: (self.gadget.index(t[0]), self.gadget.index(t[1])))
+        # vertices order like their indices; few distinct values recur
+        fractions: dict[int, Fraction] = {}
+        items = []
+        for (u, v), units in sorted(self._values.items()):
+            value = fractions.get(units)
+            if value is None:
+                value = fractions[units] = Fraction(units, self.denominator)
+            items.append((u, v, value))
         return items
 
     @property
@@ -74,13 +113,17 @@ class FractionalMatching:
         return len(self._values)
 
     def total_value(self) -> Fraction:
-        return sum(self._values.values(), Fraction(0))
+        return Fraction(sum(self._values.values()), self.denominator)
 
     def absorb(self, other: "FractionalMatching") -> None:
         if other.gadget is not self.gadget:
             raise ValueError("cannot combine fractional matchings over different gadgets")
-        for (u, v), val in other._values.items():
-            self.add(u, v, val)
+        factor = self._over(other.denominator)
+        values, loads = self._values, self._loads
+        for key, units in other._values.items():
+            values[key] = values.get(key, 0) + units * factor
+        for v, units in other._loads.items():
+            loads[v] = loads.get(v, 0) + units * factor
 
 
 def combine(*parts: FractionalMatching) -> FractionalMatching:
@@ -192,16 +235,19 @@ def build_complement_pairing(gadget: GadgetGraph) -> FractionalMatching:
     if gadget.flavor != "extended":
         raise ValueError("fractional matchings need the extended flavor")
     fm = FractionalMatching(gadget)
+    units = gadget.units_by_size
     for u, v in complement_pairs(gadget):
-        fm.add(u, v, gadget.edge_weight(u, v, "min"))
+        fm._add_units(u, v, min(units[u.subset.bit_count()], units[v.subset.bit_count()]))
     return fm
 
 
 def _half_deficits(gadget: GadgetGraph, arcs: list[Arc]) -> FractionalMatching:
     fm = FractionalMatching(gadget)
+    units = gadget.units_by_size
     for u, v in arcs:
         partner = stage_one_partner(gadget, u)
-        fm.add(u, v, (gadget.vertex_weight(u) - gadget.vertex_weight(partner)) / 2)
+        # both weights are even over D, so half the deficit is integral
+        fm._add_units(u, v, (units[u.subset.bit_count()] - units[partner.subset.bit_count()]) // 2)
     return fm
 
 
@@ -234,33 +280,44 @@ def validate(fm: FractionalMatching) -> SaturationReport:
     edge-weight capacity, and that no vertex load exceeds its weight; then
     classifies every vertex as saturated (load equals weight exactly) or
     unsaturated with its deficit.  Nothing is assumed about how the matching
-    was built.
+    was built.  Every compare is between integers over the matching's
+    common denominator; the report hands out ``Fraction``, reusing the
+    gadget's weight objects for saturated and unloaded vertices.
     """
     gadget = fm.gadget
+    scale = fm.denominator // gadget.denominator
+    units = [w * scale for w in gadget.units_by_size]
+    weights = gadget.weight_by_size
     support_ok, support_violation = True, None
     capacity_ok, capacity_violation = True, None
-    for u, v, value in fm.support():
+    for (u, v), value in sorted(fm._values.items()):
         if not gadget.has_edge(u, v):
             support_ok, support_violation = False, (u, v)
             break
-        cap = gadget.edge_weight(u, v, "min")
-        if value > cap:
-            capacity_ok, capacity_violation = False, (u, v, value, cap)
+        if value > min(units[u.subset.bit_count()], units[v.subset.bit_count()]):
+            cap = gadget.edge_weight(u, v, "min")
+            capacity_ok, capacity_violation = False, (u, v, Fraction(value, fm.denominator), cap)
             break
     budget_ok, budget_violation = True, None
+    zero = Fraction(0)
     loads: dict[GadgetVertex, Fraction] = {}
     saturated: list[GadgetVertex] = []
     unsaturated: list[tuple[GadgetVertex, Fraction]] = []
     for v in gadget.vertices():
-        load = fm.load(v)
-        weight = gadget.vertex_weight(v)
-        loads[v] = load
-        if load > weight and budget_ok:
-            budget_ok, budget_violation = False, (v, load, weight)
-        if load == weight:
+        size = v.subset.bit_count()
+        load = fm._loads.get(v, 0)
+        if load == units[size]:
+            loads[v] = weights[size]
             saturated.append(v)
-        else:
-            unsaturated.append((v, weight - load))
+            continue
+        if load == 0:
+            loads[v] = zero
+            unsaturated.append((v, weights[size]))
+            continue
+        loads[v] = Fraction(load, fm.denominator)
+        if load > units[size] and budget_ok:
+            budget_ok, budget_violation = False, (v, loads[v], weights[size])
+        unsaturated.append((v, weights[size] - loads[v]))
     return SaturationReport(
         loads=loads,
         saturated=tuple(saturated),
@@ -277,15 +334,15 @@ def validate(fm: FractionalMatching) -> SaturationReport:
 def saturates_exactly_outside_planted_set(fm: FractionalMatching) -> tuple[bool, str]:
     """Convenience check used by the verification campaigns: valid matching,
     saturated set equal to the complement of the independent set of the
-    instance's planted labelling, and zero load on that set itself."""
-    gadget = fm.gadget
-    is_vertices = set(planted_independent_set(gadget).vertices)
+    instance's planted labelling, and zero load on that set itself.  The
+    planted set is the gadget's, built and verified once."""
+    is_vertices = set(planted_independent_set(fm.gadget).vertices)
     report = validate(fm)
     if not report.ok:
         return False, "invalid fractional matching"
-    saturated = set(report.saturated)
-    expected = {v for v in gadget.vertices() if v not in is_vertices}
-    if saturated != expected:
+    # every vertex is saturated or not, so the saturated set is the planted
+    # set's complement exactly when the unsaturated set is the planted set
+    if {v for v, _ in report.unsaturated} != is_vertices:
         return False, "saturated set differs from the complement of the planted set"
     for v in is_vertices:
         if report.loads[v] != 0:

@@ -66,7 +66,17 @@ class GadgetGraph:
             biased_weight(self.num_vars, self.num_colors, self.epsilon, s)
             for s in range(self.num_colors + 1)
         )
+        # Every weight is an integer over D = 2 * num_vars * b^m for
+        # p = 1/2 - epsilon = a/b; the factor 2 keeps half of any difference
+        # of weights integral too.
+        p = Fraction(1, 2) - self.epsilon
+        self.denominator = 2 * self.num_vars * p.denominator**self.num_colors
+        scaled = tuple(w * self.denominator for w in self.weight_by_size)
+        if any(w.denominator != 1 for w in scaled):
+            raise AssertionError(f"weights {self.weight_by_size} are not integers over {self.denominator}")
+        self.units_by_size = tuple(int(w) for w in scaled)
         self._image_tables: dict[tuple[int, int], list[int]] = {}
+        self._planted_set: PlantedIndependentSet | None = None
 
     @property
     def planted(self) -> Planted:
@@ -283,7 +293,17 @@ def planted_independent_set(gadget: GadgetGraph) -> PlantedIndependentSet:
     The weight is summed over the members, tallied by subset size, and must
     match the closed form (|core| / |X|) * p; independence is verified with
     ``edge_within``, so a violation is reported rather than assumed away.
+    The plant cannot change after the instance is built, so the set is built
+    and verified once per gadget and kept there; every later call (and
+    ``yes_matching``, the saturation check and ``discretize_matching``)
+    reuses it.
     """
+    if gadget._planted_set is None:
+        gadget._planted_set = _verified_planted_set(gadget)
+    return gadget._planted_set
+
+
+def _verified_planted_set(gadget: GadgetGraph) -> PlantedIndependentSet:
     planted = gadget.planted
     members: list[GadgetVertex] = []
     per_size = [0] * (gadget.num_colors + 1)
@@ -314,12 +334,15 @@ def yes_matching(gadget: GadgetGraph) -> tuple[tuple[GadgetVertex, GadgetVertex]
     Inside a core cloud the planted colour is removed from the ground set and
     each remaining subset is matched to its complement within that ground;
     outside the core, subsets are matched to their full complements.  The
-    matched set therefore equals the complement of the planted independent
-    set, and maximality is verified by ``edge_within`` on the unmatched set.
+    matched set is checked to equal the complement of the planted
+    independent set, so the unmatched set is that set, which
+    ``planted_independent_set`` verified independent with ``edge_within``:
+    the matching is maximal.
     """
     if gadget.flavor != "extended":
         raise ValueError("the complement pairing needs the extended flavor (intra-cloud edges)")
-    pairs = sorted(complement_pairs(gadget), key=lambda e: gadget.index(e[0]))
+    # vertices order like their indices, so this sorts by the first index
+    pairs = sorted(complement_pairs(gadget))
     seen: set[GadgetVertex] = set()
     for u, v in pairs:
         if u in seen or v in seen:
@@ -327,10 +350,7 @@ def yes_matching(gadget: GadgetGraph) -> tuple[tuple[GadgetVertex, GadgetVertex]
         seen.add(u)
         seen.add(v)
 
-    unmatched = [v for v in gadget.vertices() if v not in seen]
-    if set(unmatched) != set(planted_independent_set(gadget).vertices):
+    unmatched = {v for v in gadget.vertices() if v not in seen}
+    if unmatched != set(planted_independent_set(gadget).vertices):
         raise AssertionError("matched set does not equal the complement of the planted set")
-    edge = gadget.edge_within(unmatched)
-    if edge is not None:
-        raise AssertionError(f"matching is not maximal, {edge[0]} ~ {edge[1]} both unmatched")
     return tuple(pairs)

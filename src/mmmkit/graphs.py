@@ -79,10 +79,6 @@ class Graph:
     def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
         return iter(self._edge_list)
 
-    def sorted_edges(self) -> list[tuple[Vertex, Vertex]]:
-        """Edges sorted by (index, index) pairs, for canonical output."""
-        return sorted(self._edge_list, key=lambda e: (self._index[e[0]], self._index[e[1]]))
-
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         if u not in self._index or v not in self._index or u == v:
             return False
@@ -148,12 +144,6 @@ class Bipartite:
     @property
     def n_edges(self) -> int:
         return len(self._edge_list)
-
-    def left_index(self, v: Vertex) -> int:
-        return self._left_index[v]
-
-    def right_index(self, v: Vertex) -> int:
-        return self._right_index[v]
 
     def to_graph(self) -> Graph:
         g = Graph(vertices=self.left + self.right)

@@ -223,20 +223,43 @@ def graph_to_payload(graph: Graph) -> dict:
     }
 
 
+def _vertex_list(payload, key: str, path: str, seen: set) -> list:
+    """Decode the vertex list at ``key``, adding each vertex to ``seen``; a
+    vertex already there is a duplicate and raises a SchemaError naming it."""
+    out = []
+    for i, raw in enumerate(_expect_list(payload, key, path)):
+        where = f"{path}.{key}[{i}]"
+        v = decode_vertex(raw, where)
+        try:
+            duplicate = v in seen
+        except TypeError:
+            raise SchemaError(f"vertex {raw!r} is not hashable", where) from None
+        if duplicate:
+            raise SchemaError(f"duplicate vertex {raw!r}", where)
+        seen.add(v)
+        out.append(v)
+    return out
+
+
+def _edge_ends(edge, sizes: tuple[int, int], path: str) -> tuple[int, int]:
+    """The two indices of an edge row, each an int in range of its side."""
+    if not (isinstance(edge, list) and len(edge) == 2):
+        raise SchemaError("edge must be an index pair", path)
+    for end, size in zip(edge, sizes):
+        if not _is_int(end):
+            raise SchemaError(f"edge index must be an integer, got {type(end).__name__}", path)
+        if not 0 <= end < size:
+            raise SchemaError(f"edge index {end} out of range 0..{size - 1}", path)
+    return edge[0], edge[1]
+
+
 def graph_from_payload(payload, path: str = "$") -> Graph:
     _expect_kind(payload, "graph", path)
-    verts = [
-        decode_vertex(v, f"{path}.vertices[{i}]")
-        for i, v in enumerate(_expect(payload, "vertices", path))
-    ]
+    verts = _vertex_list(payload, "vertices", path, set())
     g = Graph(vertices=verts)
-    for i, edge in enumerate(_expect(payload, "edges", path)):
-        if not (isinstance(edge, list) and len(edge) == 2):
-            raise SchemaError("edge must be an index pair", f"{path}.edges[{i}]")
-        try:
-            g.add_edge(verts[edge[0]], verts[edge[1]])
-        except (IndexError, TypeError):
-            raise SchemaError("edge index out of range", f"{path}.edges[{i}]") from None
+    for i, edge in enumerate(_expect_list(payload, "edges", path)):
+        a, b = _edge_ends(edge, (len(verts), len(verts)), f"{path}.edges[{i}]")
+        g.add_edge(verts[a], verts[b])
     return g
 
 
@@ -254,22 +277,13 @@ def bipartite_to_payload(bip: Bipartite) -> dict:
 
 def bipartite_from_payload(payload, path: str = "$") -> Bipartite:
     _expect_kind(payload, "bipartite", path)
-    left = [
-        decode_vertex(v, f"{path}.left[{i}]")
-        for i, v in enumerate(_expect(payload, "left", path))
-    ]
-    right = [
-        decode_vertex(v, f"{path}.right[{i}]")
-        for i, v in enumerate(_expect(payload, "right", path))
-    ]
+    seen: set = set()  # shared, so a vertex on both sides is a duplicate too
+    left = _vertex_list(payload, "left", path, seen)
+    right = _vertex_list(payload, "right", path, seen)
     bp = Bipartite(left=left, right=right)
-    for i, edge in enumerate(_expect(payload, "edges", path)):
-        if not (isinstance(edge, list) and len(edge) == 2):
-            raise SchemaError("edge must be an index pair", f"{path}.edges[{i}]")
-        try:
-            bp.add_edge(left[edge[0]], right[edge[1]])
-        except (IndexError, TypeError):
-            raise SchemaError("edge index out of range", f"{path}.edges[{i}]") from None
+    for i, edge in enumerate(_expect_list(payload, "edges", path)):
+        a, b = _edge_ends(edge, (len(left), len(right)), f"{path}.edges[{i}]")
+        bp.add_edge(left[a], right[b])
     return bp
 
 

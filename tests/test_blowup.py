@@ -160,7 +160,7 @@ def test_discretize_matching_saturates_non_planted(rho):
         else:
             assert copies <= matched
     # every matched pair projects onto a fractional-support edge
-    for u, v in cm.base_edges():
+    for u, v in {(a.base, b.base) for a, b in cm.pairs}:
         assert fm.value(u, v) > 0
 
 
@@ -186,6 +186,26 @@ def test_blowup_maximality_check_flags_addable_pair(small):
     with pytest.raises(ValueError):
         u = BlowupVertex(GadgetVertex(0, 0), 0)
         blowup_maximality_check(blowup, [(u, BlowupVertex(GadgetVertex(0, 0), 1))])
+
+
+def test_blowup_maximality_check_rejects_non_edges_and_reused_copies():
+    gadget = build_gadget(generate_yes(3, 2, xi=0, seed=0), F(1, 4))
+    blowup = blow_up(gadget, F(1, 2))
+    pairs = list(discretize_matching(build_full(gadget), blowup).pairs)
+    assert blowup_maximality_check(blowup, pairs)
+    bases = blowup.base_vertices()
+    u, w = next((u, w) for u in bases for w in bases if u != w and not gadget.has_edge(u, w))
+    with pytest.raises(ValueError, match="edge not in graph"):
+        blowup_maximality_check(blowup, pairs + [(BlowupVertex(u, 0), BlowupVertex(w, 0))])
+    # a copy matched twice: on a base pair already tested, and on a new one
+    a, b = pairs[0]
+    with pytest.raises(ValueError, match="vertex matched twice"):
+        blowup_maximality_check(blowup, pairs + [(a, b)])
+    with pytest.raises(ValueError, match="vertex matched twice"):
+        blowup_maximality_check(blowup, [(a, b), (b, a)])
+    # only the second end reused, by another copy of the first end's base
+    with pytest.raises(ValueError, match="vertex matched twice"):
+        blowup_maximality_check(blowup, [(a, b), (BlowupVertex(a.base, a.copy + 1), b)])
 
 
 def test_total_vertex_cover_check():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmmkit.fracmatch import (
     FractionalMatching,
@@ -193,3 +195,110 @@ def test_saturation_check_spots_missing_mass(gadget):
     ok, reason = saturates_exactly_outside_planted_set(fm)
     assert not ok
     assert "saturated set" in reason
+
+
+# -- integer container against a plain Fraction accumulator ---------------
+
+GADGET = build_gadget(generate_yes(3, 3, xi=F(1, 3), seed=2), F(1, 8))
+VERTICES = list(GADGET.vertices())
+VALUES = st.one_of(
+    # over the gadget's denominator, the stage builders' own scale
+    st.builds(lambda k: F(k, GADGET.denominator), st.integers(0, 10**4)),
+    # foreign denominators, which force a rescale
+    st.builds(F, st.integers(0, 50), st.integers(1, 40)),
+)
+ADDS = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.integers(0, len(VERTICES) - 1),
+        st.integers(0, len(VERTICES) - 1),
+        VALUES,
+    ),
+    max_size=25,
+)
+
+
+def _accumulate(ref, u, v, value):
+    values, loads = ref
+    if value == 0:
+        return
+    key = (u, v) if GADGET.index(u) < GADGET.index(v) else (v, u)
+    values[key] = values.get(key, F(0)) + value
+    for w in key:
+        loads[w] = loads.get(w, F(0)) + value
+
+
+def _assert_same(fm, ref):
+    values, loads = ref
+    expected = sorted(
+        ((u, v, x) for (u, v), x in values.items()),
+        key=lambda t: (GADGET.index(t[0]), GADGET.index(t[1])),
+    )
+    assert fm.support() == expected
+    assert all(type(x) is F for _, _, x in fm.support())
+    for (u, v), x in values.items():
+        assert fm.value(u, v) == fm.value(v, u) == x
+    for w in VERTICES:
+        assert fm.load(w) == loads.get(w, 0)
+    assert fm.total_value() == sum(values.values(), F(0))
+    assert fm.n_support_edges == len(values)
+    assert fm.denominator % GADGET.denominator == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(ADDS)
+def test_container_matches_a_fraction_accumulator(adds):
+    fms = [FractionalMatching(GADGET), FractionalMatching(GADGET)]
+    refs = [({}, {}), ({}, {})]
+    for which, i, j, value in adds:
+        if i == j:
+            continue
+        fms[which].add(VERTICES[i], VERTICES[j], value)
+        _accumulate(refs[which], VERTICES[i], VERTICES[j], value)
+    for fm, ref in zip(fms, refs):
+        _assert_same(fm, ref)
+    # the two containers may sit at different scales by now
+    merged = ({}, {})
+    for ref in refs:
+        for (u, v), x in ref[0].items():
+            _accumulate(merged, u, v, x)
+    fms[0].absorb(fms[1])
+    _assert_same(fms[0], merged)
+    _assert_same(combine(fms[1], FractionalMatching(GADGET)), refs[1])
+
+
+def test_foreign_denominator_rescales_once(gadget):
+    fm = FractionalMatching(gadget)
+    u, v, w = GadgetVertex(0, 0), GadgetVertex(0, 0b110), GadgetVertex(1, 0)
+    fm.add(u, v, F(3, gadget.denominator))
+    assert fm.denominator == gadget.denominator
+    fm.add(u, w, F(1, 7))
+    assert fm.denominator == 7 * gadget.denominator
+    fm.add(v, w, F(2, 7))  # 7 already divides the denominator
+    assert fm.denominator == 7 * gadget.denominator
+    assert fm.value(u, v) == F(3, gadget.denominator)
+    assert fm.load(u) == F(3, gadget.denominator) + F(1, 7)
+
+
+def test_validate_reports_capacity_and_budget_as_fractions(gadget):
+    u, v = GadgetVertex(0, 0b1), GadgetVertex(0, 0b110)
+    cap = gadget.edge_weight(u, v, "min")
+    over = cap + F(1, 10**6)  # off the gadget's denominator
+    fm = FractionalMatching(gadget)
+    fm.add(u, v, over)
+    report = validate(fm)
+    assert report.support_ok and not report.capacity_ok and not report.budget_ok
+    assert report.capacity_violation == (u, v, over, cap)
+    assert report.budget_violation == (v, over, gadget.vertex_weight(v))
+    for field in (*report.capacity_violation[2:], *report.budget_violation[1:]):
+        assert type(field) is F
+    assert report.loads[u] == report.loads[v] == over
+    assert dict(report.unsaturated)[v] == gadget.vertex_weight(v) - over
+    assert report.loads[GadgetVertex(1, 0)] == 0
+
+    # exactly at capacity: the smaller endpoint is saturated, no violation
+    fm = FractionalMatching(gadget)
+    fm.add(u, v, cap)
+    report = validate(fm)
+    assert report.ok
+    assert v in report.saturated and report.loads[v] is gadget.vertex_weight(v)

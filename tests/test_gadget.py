@@ -309,3 +309,32 @@ def test_yes_matching_is_checked_maximal_at_twelve_colours():
     matching = yes_matching(gadget)
     assert len(matching) == (gadget.n_vertices - len(planted_independent_set(gadget).vertices)) // 2
     assert verify_maximal_matching_via_unmatched(gadget, matching)
+
+
+def test_units_by_size_are_weights_over_the_denominator():
+    # p = 1/4 at epsilon 1/4, so D = 2 * 4 * 4^3 and units are 2 * 1^k * 3^(3-k)
+    gadget = build_gadget(generate_yes(4, 3, seed=0), F(1, 4))
+    assert gadget.denominator == 512
+    assert gadget.units_by_size == (54, 18, 6, 2)
+
+
+@pytest.mark.parametrize("eps", [F(1, 4), F(1, 8), F(1, 3), F(3, 7), F(1, 100)])
+@pytest.mark.parametrize("n,m", [(3, 1), (4, 2), (5, 6)])
+def test_units_by_size_are_even_integers(eps, n, m):
+    gadget = build_gadget(generate_yes(n, m, seed=0), eps)
+    p = F(1, 2) - eps
+    assert gadget.denominator == 2 * n * p.denominator**m
+    for w, units in zip(gadget.weight_by_size, gadget.units_by_size):
+        assert type(units) is int and units % 2 == 0
+        assert w * gadget.denominator == units
+
+
+def test_planted_set_is_built_once_per_gadget():
+    gadget = build_gadget(generate_yes(4, 3, xi=F(1, 4), seed=1), F(1, 8))
+    first = planted_independent_set(gadget)
+    assert planted_independent_set(gadget) is first
+    yes_matching(gadget)
+    assert planted_independent_set(gadget) is first
+    again = build_gadget(gadget.instance, gadget.epsilon)
+    assert planted_independent_set(again) == first
+    assert planted_independent_set(again) is not first

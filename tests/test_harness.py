@@ -271,6 +271,79 @@ def test_cli_build_gadget_rejects_mistyped_instance_fields(tmp_path, capsys, key
     assert message in err and "Traceback" not in err
 
 
+def test_cli_fracmatch_validates_before_writing(tmp_path, capsys, monkeypatch):
+    import mmmkit.cli
+    from mmmkit.fracmatch import build_full
+
+    def overloaded(gadget):
+        fm = build_full(gadget)
+        u, v = fm.support()[0][:2]
+        fm.add(u, v, F(1, 3))  # past the edge's capacity
+        return fm
+
+    monkeypatch.setattr(mmmkit.cli, "build_full", overloaded)
+    gadget = _gadget_file(tmp_path)
+    capsys.readouterr()
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"fm.{fmt}"
+        assert run_cli("fracmatch", "--in", str(gadget), "--format", fmt, "--out", str(out)) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "nothing written" in captured.err and "over its capacity" in captured.err
+
+
+def _graph_file(tmp_path, vertices, edges, kind="graph"):
+    payload = {"schema": SCHEMA, "kind": kind, "edges": edges}
+    payload.update(vertices)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(canonical_json(payload))
+    return path
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ({"vertices": [0, 1, 2]}, [[0, -1]], "edge index -1 out of range"),
+        ({"vertices": [0, 1, 2]}, [[0, 3]], "edge index 3 out of range"),
+        ({"vertices": [0, 1, 2]}, [[0, True]], "edge index must be an integer, got bool"),
+        ({"vertices": [0, 1, 2]}, [[0, 1.0]], "edge index must be an integer, got float"),
+        ({"vertices": [0, 1, 2]}, [[0, "1"]], "edge index must be an integer, got str"),
+        ({"vertices": ["a", "a", "b"]}, [[0, 2]], "duplicate vertex 'a'"),
+        ({"vertices": [{"variable": [0], "colors": []}]}, [], "is not hashable"),
+        ({"vertices": 5}, [], "vertices must be a list"),
+        ({"vertices": [0, 1]}, 5, "edges must be a list"),
+    ],
+)
+def test_cli_solve_rejects_malformed_graph_payloads(tmp_path, capsys, vertices, edges, message):
+    path = _graph_file(tmp_path, vertices, edges)
+    assert run_cli("solve", "mmm", "--in", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "sides, edges, message",
+    [
+        ({"left": [0, 1], "right": [2, 3]}, [[0, -1]], "edge index -1 out of range"),
+        ({"left": [0, 1], "right": [2]}, [[1, 1]], "edge index 1 out of range"),
+        ({"left": [0, 1], "right": [2, 3]}, [[False, 0]], "edge index must be an integer, got bool"),
+        ({"left": [0, 0], "right": [2, 3]}, [[0, 0]], "duplicate vertex 0"),
+        ({"left": [0, 1], "right": [1, 3]}, [[0, 0]], "duplicate vertex 1"),
+        ({"left": 5, "right": [2, 3]}, [], "left must be a list"),
+        ({"left": [0, 1], "right": "23"}, [], "right must be a list"),
+    ],
+)
+def test_cli_solve_rejects_malformed_bipartite_payloads(tmp_path, capsys, sides, edges, message):
+    path = _graph_file(tmp_path, sides, edges, kind="bipartite")
+    assert run_cli("solve", "mbb", "--in", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_cli_gen_ulc_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ("gen-ulc", "--num-vars", "4", "--num-colors", "3", "--xi", "1/4", "--seed", "7")
