@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .fracmatch import FractionalMatching, empty_set_plan, layer_plan, stage_one_partner
-from .gadget import GadgetGraph, GadgetVertex, complement_pairs, planted_independent_set
+from .fracmatch import FractionalMatching
+from .gadget import GadgetGraph, GadgetVertex, planted_independent_set, stage_plan
 from .graphs import CheckResult, Graph, verify_vertex_cover
 
 DEFAULT_VERTEX_CAP = 200_000
@@ -59,9 +59,8 @@ class BlowupGraph:
         self.n_v_by_size = tuple(
             round_half_away(self.n * w) for w in gadget.weight_by_size
         )
-        per_cloud = sum(
-            4 * self.n_v_by_size[s.bit_count()] for s in range(gadget.cloud_size)
-        )
+        self.copies_by_size = tuple(4 * n for n in self.n_v_by_size)
+        per_cloud = sum(self.copies_by_size[s.bit_count()] for s in range(gadget.cloud_size))
         total = per_cloud * gadget.num_vars
         if total > cap:
             raise ValueError(f"blowup would have {total} vertices, exceeding the cap {cap}")
@@ -76,7 +75,7 @@ class BlowupGraph:
             offset += self.copy_count(v)
 
     def copy_count(self, base: GadgetVertex) -> int:
-        return 4 * self.n_v_by_size[base.subset.bit_count()]
+        return self.copies_by_size[base.subset.bit_count()]
 
     def base_vertices(self) -> tuple[GadgetVertex, ...]:
         """Base vertices that kept at least one copy, in base order."""
@@ -105,14 +104,13 @@ class BlowupGraph:
 
     def neighbors(self, v: BlowupVertex) -> Iterator[BlowupVertex]:
         for w in self.gadget.neighbors(v.base):
-            count = 4 * self.n_v_by_size[w.subset.bit_count()]
-            for i in range(count):
+            for i in range(self.copies_by_size[w.subset.bit_count()]):
                 yield BlowupVertex(w, i)
 
     def edges(self) -> Iterator[tuple[BlowupVertex, BlowupVertex]]:
         for u, v in self.gadget.edges():
-            cu = 4 * self.n_v_by_size[u.subset.bit_count()]
-            cv = 4 * self.n_v_by_size[v.subset.bit_count()]
+            cu = self.copies_by_size[u.subset.bit_count()]
+            cv = self.copies_by_size[v.subset.bit_count()]
             if cu == 0 or cv == 0:
                 continue
             for i in range(cu):
@@ -217,17 +215,19 @@ class CopyMatching:
 def discretize_matching(fm: FractionalMatching, blowup: BlowupGraph) -> CopyMatching:
     """Turn the full fractional matching into an integral matching on copies.
 
-    It reads the same stage plans as the fractional stages.  Each complement
-    pair gets min(copies, copies) parallel copy pairs.  A vertex u left with
-    copy_count(u) - copy_count(partner) unmatched copies by its stage-one
-    partner gets half of them on each of the two layer or empty-set arcs
-    through it, which is 2 * (n_|u| - n_partner) copy pairs per arc.  Every
-    arc used must carry fractional support, read as the integer value over
-    the matching's common denominator.  Copy indices are handed out
-    sequentially per vertex, and the pairs are sorted by the blowup indices
-    of their ends, so the output is deterministic.  The matched set ends up
-    being exactly the copies of the base vertices outside the gadget's
-    planted independent set, which is built and verified once per gadget.
+    It reads the gadget's one stage plan and amount rule, as the fractional
+    stages do, with the blowup's copy counts for the weights.  Each
+    complement pair gets min(copies, copies) parallel copy pairs.  A vertex
+    u left with copy_count(u) - copy_count(partner) unmatched copies by its
+    stage-one partner gets half of them on each of the two layer or
+    empty-set arcs through it, which is 2 * (n_|u| - n_partner) copy pairs
+    per arc.  Every arc used must carry fractional support, read as the
+    integer value over the matching's common denominator.  Copy indices are
+    handed out sequentially per vertex, in plan order, and the pairs are
+    sorted by the blowup indices of their ends, so the output is
+    deterministic.  The matched set ends up being exactly the copies of the
+    base vertices outside the gadget's planted independent set, which is
+    built and verified once per gadget.
     """
     gadget = blowup.gadget
     if fm.gadget is not gadget:
@@ -253,11 +253,10 @@ def discretize_matching(fm: FractionalMatching, blowup: BlowupGraph) -> CopyMatc
         cursors[u] = cu + count
         cursors[v] = cv + count
 
-    for u, v in complement_pairs(gadget):
-        take(u, v, min(blowup.copy_count(u), blowup.copy_count(v)))
-    for u, v in layer_plan(gadget) + empty_set_plan(gadget):
-        leftover = blowup.copy_count(u) - blowup.copy_count(stage_one_partner(gadget, u))
-        take(u, v, leftover // 2)
+    plan = stage_plan(gadget)
+    for stage in (1, 2, 3):
+        for (u, v), count in plan.amounts(stage, blowup.copies_by_size):
+            take(u, v, count)
 
     is_members = set(planted_independent_set(gadget).vertices)
     is_copies = 0
@@ -278,38 +277,42 @@ def discretize_matching(fm: FractionalMatching, blowup: BlowupGraph) -> CopyMatc
 def blowup_maximality_check(blowup: BlowupGraph, matching: CopyMatching | Iterable) -> CheckResult:
     """Maximality check that projects the unmatched copies onto base vertices.
 
-    The pairs must form a matching of the blowup: every copy is used at most
-    once, and every pair's base pair is a base edge, which is tested once
-    per distinct base pair, since all copies of two base vertices are joined
-    or none are.  A blowup edge joins copies of base-adjacent vertices, so
-    the matching is maximal exactly when no two base vertices with
-    unmatched copies are adjacent in the base (copies of one vertex are
-    never adjacent).  The gadget's ``edge_within`` answers that for the
+    The pairs must form a matching of the blowup: every end is a copy of the
+    blowup, with its index below its base's copy count, every copy is used
+    at most once, and every pair's base pair is a base edge, which is tested
+    once per distinct base pair, since all copies of two base vertices are
+    joined or none are.  A blowup edge joins copies of base-adjacent
+    vertices, so the matching is maximal exactly when no two base vertices
+    with unmatched copies are adjacent in the base (copies of one vertex
+    are never adjacent).  The gadget's ``edge_within`` answers that for the
     whole deficient set at once, so no pairs are scanned, while the verdict
     remains one about the blowup graph itself.
     """
     pairs = matching.pairs if isinstance(matching, CopyMatching) else matching
-    per_base_pair: dict[tuple[GadgetVertex, GadgetVertex], int] = {}
+    copies = {w: blowup.copy_count(w) for w in blowup.base_vertices()}
+    # per distinct base pair: [pairs on it, copies of its first end, of its second]
+    per_base_pair: dict[tuple[GadgetVertex, GadgetVertex], list[int]] = {}
     seen: set[BlowupVertex] = set()
     for u, v in pairs:
         bases = (u.base, v.base)
-        count = per_base_pair.get(bases)
-        if count is None:
-            if not blowup.has_edge(u, v):
+        entry = per_base_pair.get(bases)
+        if entry is None:
+            entry = per_base_pair[bases] = [0, copies.get(u.base, 0), copies.get(v.base, 0)]
+            # a base without copies is left to the range check below
+            if entry[1] and entry[2] and not blowup.has_edge(u, v):
                 raise ValueError(f"not a matching: edge not in graph at {(u, v)!r}")
-            count = 0
+        if not (0 <= u.copy < entry[1] and 0 <= v.copy < entry[2]):
+            raise ValueError(f"not a matching: vertex not in graph at {(u, v)!r}")
         if u in seen or v in seen:
             raise ValueError(f"not a matching: vertex matched twice at {(u, v)!r}")
         seen.add(u)
         seen.add(v)
-        per_base_pair[bases] = count + 1
+        entry[0] += 1
     matched_per_base: dict[GadgetVertex, int] = {}
-    for bases, count in per_base_pair.items():
+    for bases, (count, _, _) in per_base_pair.items():
         for w in bases:
             matched_per_base[w] = matched_per_base.get(w, 0) + count
-    deficient = [
-        v for v in blowup.base_vertices() if matched_per_base.get(v, 0) < blowup.copy_count(v)
-    ]
+    deficient = [w for w, n in copies.items() if matched_per_base.get(w, 0) < n]
     edge = blowup.gadget.edge_within(deficient)
     if edge is not None:
         return CheckResult(False, edge, "base-adjacent vertices both have unmatched copies")

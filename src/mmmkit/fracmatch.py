@@ -1,8 +1,9 @@
 """Fractional matchings on the extended gadget graph with the min edge rule.
 
-The construction has three stages, each given by a plan: a list of arcs
-(u, v) inside the gadget that ``discretize_matching`` in the blowup module
-reads too.  Complement pairing puts the full min edge weight on every pair of
+The construction has three stages, and each gadget has one plan for them,
+``gadget.stage_plan``: its arcs (u, v) inside the gadget, with one amount
+rule that ``discretize_matching`` in the blowup module reads too.
+Complement pairing puts the full min edge weight on every pair of
 complementary subsets within a cloud's ground (the colour set, minus the
 planted colour in core clouds).  That leaves a vertex u of a cloud with
 ground size g the deficit mu(|u|) - mu(g - |u|).  The layer stage sends each
@@ -11,9 +12,9 @@ same size; the empty-set stage sends each (x, {}) to (sigma(x), {}) for a
 permutation sigma of its class with x ~ sigma(x).  Both maps are bijections,
 so every vertex is the tail of one arc and the head of one, and half its
 deficit on each arc saturates it.  Together the three stages saturate
-exactly the complement of the planted independent set.  Every stage reads the
-planted labelling from its gadget's instance, which checked it when it was
-built; the planted set itself is built and verified once per gadget.
+exactly the complement of the planted independent set.  Every stage reads
+the planted labelling from its gadget's instance, which checked it when it
+was built; the planted set and the plan are each built once per gadget.
 
 Every vertex weight is an integer over the gadget's common denominator
 D = 2 * num_vars * b^m, for p = 1/2 - epsilon = a/b, and so is half of any
@@ -30,11 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .bipartite import cycle_cover
-from .bitsets import elements_of, submasks
-from .gadget import GadgetGraph, GadgetVertex, cloud_ground, complement_pairs, planted_independent_set
-
-Arc = tuple[GadgetVertex, GadgetVertex]
+from .gadget import GadgetGraph, GadgetVertex, planted_independent_set, stage_plan
 
 
 class FractionalMatching:
@@ -154,75 +151,11 @@ class SaturationReport:
         return self.support_ok and self.capacity_ok and self.budget_ok
 
 
-def bracket_partner(subset: int, ground: int) -> int:
-    """The k-subset of ``ground`` disjoint from ``subset`` (k = |subset|,
-    2k < |ground|) that the Greene-Kleitman bracket rule pairs it with.
-
-    Reading the ground's colours in ascending order, members are ``)`` and
-    non-members ``(``; each ``)`` closes the nearest open ``(`` to its left.
-    Adding the |ground| - 2k leftmost unclosed ``(`` reflects the subset to
-    the other end of its symmetric chain, and the complement of that is the
-    partner.  The map is a bijection on the k-subsets of the ground.
-    """
-    open_colours: list[int] = []
-    for c in elements_of(ground):
-        if subset >> c & 1:
-            if open_colours:
-                open_colours.pop()
-        else:
-            open_colours.append(c)
-    grown = subset
-    for c in open_colours[: ground.bit_count() - 2 * subset.bit_count()]:
-        grown |= 1 << c
-    return ground ^ grown
-
-
-def layer_plan(gadget: GadgetGraph) -> list[Arc]:
-    """Stage two's arcs: every small subset A of a cloud's ground (0 < 2|A|
-    < ground size) to its bracket partner."""
-    if gadget.flavor != "extended":
-        raise ValueError("fractional matchings need the extended flavor")
-    arcs = []
-    for x in range(gadget.num_vars):
-        ground = cloud_ground(gadget, x)
-        for s in submasks(ground):
-            if 0 < 2 * s.bit_count() < ground.bit_count():
-                arcs.append((GadgetVertex(x, s), GadgetVertex(x, bracket_partner(s, ground))))
-    return arcs
-
-
-def empty_set_plan(gadget: GadgetGraph) -> list[Arc]:
-    """Stage three's arcs: (x, {}) to (sigma(x), {}) for a permutation sigma
-    of each class (core and non-core clouds) with x ~ sigma(x).
-
-    Raises ValueError, naming the class, when no such sigma exists, as for a
-    class of one cloud or a star of clouds.
-    """
-    if gadget.flavor != "extended":
-        raise ValueError("fractional matchings need the extended flavor")
-    core = gadget.planted.core
-    classes = (
-        ("non-core", [x for x in range(gadget.num_vars) if x not in core]),
-        ("core", sorted(core)),
-    )
-    arcs = []
-    for name, members in classes:
-        if not members:
-            continue
-        sigma = cycle_cover([GadgetVertex(x, 0) for x in members], gadget.has_edge)
-        if sigma is None:
-            raise ValueError(
-                f"the empty-set vertices of the {name} class (variables {members}) "
-                "have no fractional perfect matching, so they cannot be saturated"
-            )
-        arcs.extend(sigma.items())
-    return arcs
-
-
-def stage_one_partner(gadget: GadgetGraph, u: GadgetVertex) -> GadgetVertex:
-    """The complement of u within its cloud's ground, which stage one pairs
-    u with; u's deficit after stage one is w(u) - w(partner)."""
-    return GadgetVertex(u.variable, cloud_ground(gadget, u.variable) ^ u.subset)
+def _stage(gadget: GadgetGraph, stage: int) -> FractionalMatching:
+    fm = FractionalMatching(gadget)
+    for (u, v), units in stage_plan(gadget).amounts(stage, gadget.units_by_size):
+        fm._add_units(u, v, units)
+    return fm
 
 
 def build_complement_pairing(gadget: GadgetGraph) -> FractionalMatching:
@@ -232,36 +165,20 @@ def build_complement_pairing(gadget: GadgetGraph) -> FractionalMatching:
     set minus the planted colour for core clouds; subsets containing the
     planted colour are left untouched there.
     """
-    if gadget.flavor != "extended":
-        raise ValueError("fractional matchings need the extended flavor")
-    fm = FractionalMatching(gadget)
-    units = gadget.units_by_size
-    for u, v in complement_pairs(gadget):
-        fm._add_units(u, v, min(units[u.subset.bit_count()], units[v.subset.bit_count()]))
-    return fm
-
-
-def _half_deficits(gadget: GadgetGraph, arcs: list[Arc]) -> FractionalMatching:
-    fm = FractionalMatching(gadget)
-    units = gadget.units_by_size
-    for u, v in arcs:
-        partner = stage_one_partner(gadget, u)
-        # both weights are even over D, so half the deficit is integral
-        fm._add_units(u, v, (units[u.subset.bit_count()] - units[partner.subset.bit_count()]) // 2)
-    return fm
+    return _stage(gadget, 1)
 
 
 def build_layer_cycles(gadget: GadgetGraph) -> FractionalMatching:
-    """Stage two: half the deficit of every small subset on each arc of
-    ``layer_plan`` through it, one as tail and one as head."""
-    return _half_deficits(gadget, layer_plan(gadget))
+    """Stage two: half the deficit of every small subset on each of the two
+    layer arcs through it, one as tail and one as head."""
+    return _stage(gadget, 2)
 
 
 def build_empty_set_cycles(gadget: GadgetGraph) -> FractionalMatching:
-    """Stage three: half the deficit of every (x, {}) on each arc of
-    ``empty_set_plan`` through it; a 2-cycle of sigma puts the whole deficit
-    on its one edge."""
-    return _half_deficits(gadget, empty_set_plan(gadget))
+    """Stage three: half the deficit of every (x, {}) on each of the two
+    empty-set arcs through it; a 2-cycle of sigma puts the whole deficit on
+    its one edge."""
+    return _stage(gadget, 3)
 
 
 def build_full(gadget: GadgetGraph) -> FractionalMatching:

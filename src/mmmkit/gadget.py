@@ -10,9 +10,11 @@ cheap to build and edges are enumerated lazily.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .bipartite import cycle_cover
 from .bitsets import down_closure, elements_of, submasks
 from .graphs import Graph
 from .ulc import MAX_COLORS, Planted, UlcInstance
@@ -77,6 +79,7 @@ class GadgetGraph:
         self.units_by_size = tuple(int(w) for w in scaled)
         self._image_tables: dict[tuple[int, int], list[int]] = {}
         self._planted_set: PlantedIndependentSet | None = None
+        self._stage_plan: StagePlan | None = None
 
     @property
     def planted(self) -> Planted:
@@ -103,9 +106,6 @@ class GadgetGraph:
 
     def index(self, v: GadgetVertex) -> int:
         return v.variable * self.cloud_size + v.subset
-
-    def vertex_at(self, i: int) -> GadgetVertex:
-        return GadgetVertex(i // self.cloud_size, i % self.cloud_size)
 
     def vertex_weight(self, v: GadgetVertex) -> Fraction:
         return self.weight_by_size[v.subset.bit_count()]
@@ -260,27 +260,6 @@ def build_gadget(instance: UlcInstance, epsilon: Fraction, flavor: str = "extend
     return GadgetGraph(instance, epsilon, flavor)
 
 
-def cloud_ground(gadget: GadgetGraph, x: int) -> int:
-    """The colours cloud x pairs its subsets within: all of them, minus the
-    planted colour in core clouds."""
-    planted = gadget.planted
-    if x in planted.core:
-        return gadget.full_mask & ~(1 << planted.labelling[x])
-    return gadget.full_mask
-
-
-def complement_pairs(gadget: GadgetGraph) -> list[tuple[GadgetVertex, GadgetVertex]]:
-    """Every subset of each cloud's ground paired with its complement there,
-    the numerically smaller subset first."""
-    pairs = []
-    for x in range(gadget.num_vars):
-        ground = cloud_ground(gadget, x)
-        for s in submasks(ground):
-            if s < ground ^ s:
-                pairs.append((GadgetVertex(x, s), GadgetVertex(x, ground ^ s)))
-    return pairs
-
-
 class PlantedIndependentSet(NamedTuple):
     vertices: tuple[GadgetVertex, ...]
     weight: Fraction
@@ -296,7 +275,7 @@ def planted_independent_set(gadget: GadgetGraph) -> PlantedIndependentSet:
     The plant cannot change after the instance is built, so the set is built
     and verified once per gadget and kept there; every later call (and
     ``yes_matching``, the saturation check and ``discretize_matching``)
-    reuses it.
+    reuses it, as they all reuse the gadget's one ``stage_plan``.
     """
     if gadget._planted_set is None:
         gadget._planted_set = _verified_planted_set(gadget)
@@ -327,11 +306,118 @@ def _verified_planted_set(gadget: GadgetGraph) -> PlantedIndependentSet:
     return PlantedIndependentSet(tuple(members), weight)
 
 
+Arc = tuple[GadgetVertex, GadgetVertex]
+
+
+def bracket_partner(subset: int, ground: int) -> int:
+    """The k-subset of ``ground`` disjoint from ``subset`` (k = |subset|,
+    2k < |ground|) that the Greene-Kleitman bracket rule pairs it with.
+
+    Reading the ground's colours in ascending order, members are ``)`` and
+    non-members ``(``; each ``)`` closes the nearest open ``(`` to its left.
+    Adding the |ground| - 2k leftmost unclosed ``(`` reflects the subset to
+    the other end of its symmetric chain, and the complement of that is the
+    partner.  The map is a bijection on the k-subsets of the ground.
+    """
+    open_colours: list[int] = []
+    for c in elements_of(ground):
+        if subset >> c & 1:
+            if open_colours:
+                open_colours.pop()
+        else:
+            open_colours.append(c)
+    grown = subset
+    for c in open_colours[: ground.bit_count() - 2 * subset.bit_count()]:
+        grown |= 1 << c
+    return ground ^ grown
+
+
+class StagePlan:
+    """The arcs of the three saturation stages of one gadget.
+
+    A cloud's ground is every colour, minus the planted colour in core
+    clouds.  ``pairs`` (stage one) joins each subset of the ground to its
+    complement there, ``layer`` (stage two) each small subset to its bracket
+    partner, and ``empty_set`` (stage three) each (x, {}) to (sigma(x), {})
+    for a permutation sigma of its class with x ~ sigma(x).  Stage three is
+    built when first read, so only its consumers fail on a class with no
+    sigma.  The plan holds its gadget weakly, since the gadget keeps it.
+    """
+
+    def __init__(self, gadget: GadgetGraph) -> None:
+        if gadget.flavor != "extended":
+            raise ValueError("the saturation stages need the extended flavor (intra-cloud edges)")
+        planted, full = gadget.planted, gadget.full_mask
+        grounds = [
+            full & ~(1 << planted.labelling[x]) if x in planted.core else full for x in range(gadget.num_vars)
+        ]
+        pairs: list[Arc] = []
+        layer: list[Arc] = []
+        for x, ground in enumerate(grounds):
+            members = {s: GadgetVertex(x, s) for s in submasks(ground)}
+            for s, u in members.items():
+                if s < ground ^ s:
+                    pairs.append((u, members[ground ^ s]))
+                if 0 < 2 * s.bit_count() < ground.bit_count():
+                    layer.append((u, members[bracket_partner(s, ground)]))
+        self.ground_sizes = tuple(ground.bit_count() for ground in grounds)
+        self.pairs = tuple(pairs)
+        self.layer = tuple(layer)
+        self._gadget = weakref.ref(gadget)
+        self._empty_set: tuple[Arc, ...] | None = None
+
+    @property
+    def empty_set(self) -> tuple[Arc, ...]:
+        if self._empty_set is None:
+            self._empty_set = _empty_set_arcs(self._gadget())
+        return self._empty_set
+
+    def amounts(self, stage: int, table: Sequence[int]) -> Iterator[tuple[Arc, int]]:
+        """Stage 1, 2 or 3's arcs with their amounts under ``table``, a
+        per-subset-size table: min(t[|u|], t[|v|]) on a complement pair, and
+        (t[|u|] - t[g - |u|]) // 2, half the deficit stage one leaves, on a
+        cycle arc from u, for g the size of u's ground.  The halves are exact
+        for ``units_by_size`` (even over D) and for copy counts (4 * n_v)."""
+        if stage == 1:
+            for arc in self.pairs:
+                yield arc, min(table[arc[0].subset.bit_count()], table[arc[1].subset.bit_count()])
+            return
+        grounds = self.ground_sizes
+        for arc in self.layer if stage == 2 else self.empty_set:
+            size = arc[0].subset.bit_count()
+            yield arc, (table[size] - table[grounds[arc[0].variable] - size]) // 2
+
+
+def _empty_set_arcs(gadget: GadgetGraph) -> tuple[Arc, ...]:
+    core = gadget.planted.core
+    non_core = [x for x in range(gadget.num_vars) if x not in core]
+    arcs: list[Arc] = []
+    for name, members in (("non-core", non_core), ("core", sorted(core))):
+        sigma = cycle_cover([GadgetVertex(x, 0) for x in members], gadget.has_edge)
+        if sigma is None:
+            raise ValueError(
+                f"the empty-set vertices of the {name} class (variables {members}) "
+                "have no fractional perfect matching, so they cannot be saturated"
+            )
+        arcs.extend(sigma.items())
+    return tuple(arcs)
+
+
+def stage_plan(gadget: GadgetGraph) -> StagePlan:
+    """The gadget's one stage plan, built once and kept on the gadget for
+    ``yes_matching``, the fractional stages and ``discretize_matching``."""
+    if gadget._stage_plan is None:
+        gadget._stage_plan = StagePlan(gadget)
+    return gadget._stage_plan
+
+
 def yes_matching(gadget: GadgetGraph) -> tuple[tuple[GadgetVertex, GadgetVertex], ...]:
     """The complement-pairing matching that saturates everything outside the
     independent set of the instance's planted labelling.
 
-    Inside a core cloud the planted colour is removed from the ground set and
+    These are the ``pairs`` of the gadget's one stage plan, which stage one
+    of the fractional matching and of ``discretize_matching`` read too:
+    inside a core cloud the planted colour is removed from the ground set and
     each remaining subset is matched to its complement within that ground;
     outside the core, subsets are matched to their full complements.  The
     matched set is checked to equal the complement of the planted
@@ -339,10 +425,8 @@ def yes_matching(gadget: GadgetGraph) -> tuple[tuple[GadgetVertex, GadgetVertex]
     ``planted_independent_set`` verified independent with ``edge_within``:
     the matching is maximal.
     """
-    if gadget.flavor != "extended":
-        raise ValueError("the complement pairing needs the extended flavor (intra-cloud edges)")
     # vertices order like their indices, so this sorts by the first index
-    pairs = sorted(complement_pairs(gadget))
+    pairs = sorted(stage_plan(gadget).pairs)
     seen: set[GadgetVertex] = set()
     for u, v in pairs:
         if u in seen or v in seen:

@@ -52,10 +52,6 @@ class ConstraintReport:
     satisfied: tuple[VarEdge, ...]
     violated: tuple[VarEdge, ...]
 
-    @property
-    def all_satisfied(self) -> bool:
-        return not self.violated
-
 
 @dataclass(frozen=True)
 class UlcInstance:

@@ -232,3 +232,32 @@ def test_matched_copies_cover_matches_vc_bound():
     assert verify_vertex_cover(g, cover)
     vc = exact_min_vertex_cover(g)
     assert 2 * len(cm) >= vc.value
+
+
+def test_blowup_maximality_check_rejects_copies_out_of_range(small):
+    gadget = build_gadget(generate_yes(3, 2, xi=F(1, 4), seed=0), F(1, 4))
+    blowup = blow_up(gadget, F(1, 2))
+    pairs = list(discretize_matching(build_full(gadget), blowup).pairs)
+    assert blowup_maximality_check(blowup, pairs)
+    bases = blowup.base_vertices()
+    u, v = next(
+        (u, v)
+        for u in bases
+        for v in bases
+        if gadget.has_edge(u, v) and blowup.copy_count(u) == 20 and blowup.copy_count(v) == 8
+    )
+    probes = [
+        pairs + [(BlowupVertex(u, 999), BlowupVertex(v, 998))],
+        [(BlowupVertex(u, -1), BlowupVertex(v, 0))],
+        # v matched nine times, one more than it has copies
+        [(BlowupVertex(u, i), BlowupVertex(v, i)) for i in range(9)],
+    ]
+    for probe in probes:
+        with pytest.raises(ValueError, match="vertex not in graph"):
+            blowup_maximality_check(blowup, probe)
+    # a copy of a base vertex whose copy count rounds to zero
+    gadget, blowup = small
+    dropped = GadgetVertex(0, 0b11)
+    w = next(w for w in blowup.base_vertices() if gadget.has_edge(dropped, w))
+    with pytest.raises(ValueError, match="vertex not in graph"):
+        blowup_maximality_check(blowup, [(BlowupVertex(w, 0), BlowupVertex(dropped, 0))])

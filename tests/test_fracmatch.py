@@ -14,7 +14,7 @@ from mmmkit.fracmatch import (
     saturates_exactly_outside_planted_set,
     validate,
 )
-from mmmkit.gadget import GadgetVertex, build_gadget, planted_independent_set
+from mmmkit.gadget import GadgetVertex, build_gadget, planted_independent_set, yes_matching
 from mmmkit.ulc import Planted, generate_yes, new_instance
 
 F = Fraction
@@ -127,6 +127,19 @@ def test_empty_set_cycles_reject_singleton_class(gadget):
     gadget = build_gadget(gadget.instance.with_planted(lonely), gadget.epsilon)
     with pytest.raises(ValueError, match="non-core class"):
         build_empty_set_cycles(gadget)
+
+
+def test_stage_three_is_built_only_on_demand(gadget):
+    # the singleton-class gadget above: stages one and two never need sigma
+    n = gadget.num_vars
+    lonely = Planted(gadget.instance.planted.labelling, frozenset(range(n - 1)))
+    gadget = build_gadget(gadget.instance.with_planted(lonely), gadget.epsilon)
+    assert yes_matching(gadget)
+    assert build_complement_pairing(gadget).n_support_edges
+    assert build_layer_cycles(gadget).n_support_edges
+    for consumer in (build_empty_set_cycles, build_full):
+        with pytest.raises(ValueError, match="non-core class"):
+            consumer(gadget)
 
 
 def _identity_core(edges):

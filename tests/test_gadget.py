@@ -58,7 +58,6 @@ def test_index_round_trip_and_containment():
     assert len(verts) == gadget.n_vertices == 8
     for i, v in enumerate(verts):
         assert gadget.index(v) == i
-        assert gadget.vertex_at(i) == v
         assert v in gadget
     assert GadgetVertex(2, 0) not in gadget
     assert GadgetVertex(0, 4) not in gadget

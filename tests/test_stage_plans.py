@@ -3,10 +3,23 @@ from itertools import combinations, permutations
 
 import pytest
 
+import mmmkit.gadget
 from mmmkit.bipartite import cycle_cover
 from mmmkit.bitsets import k_subset_masks
-from mmmkit.fracmatch import bracket_partner, empty_set_plan, layer_plan
-from mmmkit.gadget import build_gadget, cloud_ground
+from mmmkit.blowup import blow_up, discretize_matching
+from mmmkit.fracmatch import (
+    build_complement_pairing,
+    build_empty_set_cycles,
+    build_layer_cycles,
+    combine,
+)
+from mmmkit.gadget import (
+    bracket_partner,
+    build_gadget,
+    planted_independent_set,
+    stage_plan,
+    yes_matching,
+)
 from mmmkit.ulc import generate_yes
 
 F = Fraction
@@ -71,14 +84,84 @@ def test_cycle_cover_matches_permutation_search(n):
             assert all(adjacent(x, sigma[x]) for x in verts)
 
 
-def test_plans_are_bijections_on_gadget_edges():
-    gadget = build_gadget(generate_yes(6, 5, xi=F(1, 3), seed=2), F(1, 8))
-    for plan in (layer_plan(gadget), empty_set_plan(gadget)):
-        tails = [u for u, _ in plan]
-        heads = [v for _, v in plan]
-        assert len(set(tails)) == len(plan)
+def _ground(gadget, x):
+    planted = gadget.instance.planted
+    if x in planted.core:
+        return gadget.full_mask & ~(1 << planted.labelling[x])
+    return gadget.full_mask
+
+
+@pytest.fixture(scope="module")
+def gadget():
+    return build_gadget(generate_yes(6, 5, xi=F(1, 3), seed=2), F(1, 8))
+
+
+def test_plans_are_bijections_on_gadget_edges(gadget):
+    plan = stage_plan(gadget)
+    for arcs in (plan.layer, plan.empty_set):
+        tails = [u for u, _ in arcs]
+        heads = [v for _, v in arcs]
+        assert len(set(tails)) == len(arcs)
         assert sorted(tails) == sorted(heads)
-        for u, v in plan:
+        for u, v in arcs:
             assert gadget.has_edge(u, v)
             assert u.subset.bit_count() == v.subset.bit_count()
-            assert v.subset & ~cloud_ground(gadget, v.variable) == 0
+            assert v.subset & ~_ground(gadget, v.variable) == 0
+
+
+def test_complement_pairs_cover_exactly_the_non_planted_vertices(gadget):
+    plan = stage_plan(gadget)
+    ends = [w for pair in plan.pairs for w in pair]
+    assert len(set(ends)) == len(ends)
+    planted = set(planted_independent_set(gadget).vertices)
+    assert set(ends) == set(gadget.vertices()) - planted
+    for u, v in plan.pairs:
+        assert gadget.has_edge(u, v)
+        assert u.variable == v.variable and u.subset < v.subset
+        assert u.subset | v.subset == _ground(gadget, u.variable)
+    assert plan.ground_sizes == tuple(_ground(gadget, x).bit_count() for x in range(gadget.num_vars))
+
+
+def test_amounts_follow_the_one_rule(gadget):
+    plan = stage_plan(gadget)
+    table = tuple(10 ** (gadget.num_colors - k) for k in range(gadget.num_colors + 1))
+    pairs = list(plan.amounts(1, table))
+    assert [arc for arc, _ in pairs] == list(plan.pairs)
+    # the table falls in the subset size, so the larger subset sets the amount
+    assert all(amount == table[max(u.subset.bit_count(), v.subset.bit_count())] for (u, v), amount in pairs)
+    for stage, arcs in ((2, plan.layer), (3, plan.empty_set)):
+        cycles = list(plan.amounts(stage, table))
+        assert [arc for arc, _ in cycles] == list(arcs)
+        for (u, _), amount in cycles:
+            partner = _ground(gadget, u.variable) ^ u.subset
+            assert amount == (table[u.subset.bit_count()] - table[partner.bit_count()]) // 2
+
+
+def test_plan_is_built_once_per_gadget(monkeypatch):
+    calls = {"bracket_partner": 0, "cycle_cover": 0}
+
+    def counted(name):
+        inner = getattr(mmmkit.gadget, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mmmkit.gadget, name, counted(name))
+    # one acceptance-grid item: 4 variables, two of them in the core
+    gadget = build_gadget(generate_yes(4, 4, xi=F(1, 2), topology="cycle", seed=0), F(1, 8))
+    yes_matching(gadget)
+    fm = combine(
+        build_complement_pairing(gadget),
+        build_layer_cycles(gadget),
+        build_empty_set_cycles(gadget),
+    )
+    discretize_matching(fm, blow_up(gadget, F(1, 2)))
+    plan = stage_plan(gadget)
+    assert stage_plan(gadget) is plan
+    core = gadget.instance.planted.core
+    assert 0 < len(core) < gadget.num_vars
+    assert calls == {"bracket_partner": len(plan.layer), "cycle_cover": 2}

@@ -56,15 +56,14 @@ def test_check_labelling_partitions_edges():
     report = check_labelling(inst, [0, 0, 1])
     assert report.satisfied == ((0, 1), (1, 2))
     assert report.violated == ((0, 2),)
-    assert not report.all_satisfied
     inside = check_labelling(inst, [0, 0, 1], subset={0, 1})
-    assert inside.all_satisfied
+    assert not inside.violated
     assert inside.satisfied == ((0, 1),)
 
 
 def test_check_labelling_mapping_input_and_missing_variable():
     inst = new_instance(2, 2, [((0, 1), SWAP)])
-    assert check_labelling(inst, {0: 0, 1: 1}).all_satisfied
+    assert not check_labelling(inst, {0: 0, 1: 1}).violated
     with pytest.raises(ValueError):
         check_labelling(inst, {0: 0})
 
@@ -79,7 +78,7 @@ def test_t_labelling_size_validation():
 def test_check_t_labelling_subset_semantics():
     inst = new_instance(2, 4, [((0, 1), (1, 0, 3, 2))])
     hit = TLabelling({0: frozenset({0, 2}), 1: frozenset({1, 2})}, t=2)
-    assert check_t_labelling(inst, hit).all_satisfied
+    assert not check_t_labelling(inst, hit).violated
     miss = TLabelling({0: frozenset({0, 2}), 1: frozenset({0, 2})}, t=2)
     assert check_t_labelling(inst, miss).violated == ((0, 1),)
 
@@ -102,13 +101,13 @@ def test_generate_yes_core_is_consistent():
     inst = generate_yes(8, 4, xi=Fraction(1, 4), seed=11)
     assert len(inst.planted.core) >= 6
     report = check_labelling(inst, inst.planted.labelling, inst.planted.core)
-    assert report.all_satisfied
+    assert not report.violated
 
 
 def test_generate_yes_xi_zero_full_core():
     inst = generate_yes(6, 3, xi=0, seed=0)
     assert inst.planted.core == frozenset(range(6))
-    assert check_labelling(inst, inst.planted.labelling).all_satisfied
+    assert not check_labelling(inst, inst.planted.labelling).violated
 
 
 def test_generate_yes_determinism_and_seed_sensitivity():
@@ -159,7 +158,7 @@ def test_generate_yes_core_size_bound(num_vars, num_colors, seed):
     xi = Fraction(1, 4)
     inst = generate_yes(num_vars, num_colors, xi=xi, seed=seed)
     assert len(inst.planted.core) >= (1 - xi) * num_vars
-    assert check_labelling(inst, inst.planted.labelling, inst.planted.core).all_satisfied
+    assert not check_labelling(inst, inst.planted.labelling, inst.planted.core).violated
 
 
 def _int_in(value, bound):
