@@ -290,26 +290,32 @@ def blowup_maximality_check(blowup: BlowupGraph, matching: CopyMatching | Iterab
     """
     pairs = matching.pairs if isinstance(matching, CopyMatching) else matching
     copies = {w: blowup.copy_count(w) for w in blowup.base_vertices()}
-    # per distinct base pair: [pairs on it, copies of its first end, of its second]
+    offsets = blowup._offsets
+    # per distinct base pair: [pairs on it, copies of its first end, of its
+    # second, blowup index of its first end's copy 0, of its second's]
     per_base_pair: dict[tuple[GadgetVertex, GadgetVertex], list[int]] = {}
-    seen: set[BlowupVertex] = set()
+    used: set[int] = set()  # blowup indices of the matched copies
     for u, v in pairs:
-        bases = (u.base, v.base)
-        entry = per_base_pair.get(bases)
+        ub, uc = u
+        vb, vc = v
+        entry = per_base_pair.get((ub, vb))
         if entry is None:
-            entry = per_base_pair[bases] = [0, copies.get(u.base, 0), copies.get(v.base, 0)]
+            cu, cv = copies.get(ub, 0), copies.get(vb, 0)
             # a base without copies is left to the range check below
-            if entry[1] and entry[2] and not blowup.has_edge(u, v):
+            if cu and cv and not blowup.has_edge(u, v):
                 raise ValueError(f"not a matching: edge not in graph at {(u, v)!r}")
-        if not (0 <= u.copy < entry[1] and 0 <= v.copy < entry[2]):
+            entry = per_base_pair[ub, vb] = [0, cu, cv, offsets.get(ub, 0), offsets.get(vb, 0)]
+        _, cu, cv, first_u, first_v = entry
+        if not (0 <= uc < cu and 0 <= vc < cv):
             raise ValueError(f"not a matching: vertex not in graph at {(u, v)!r}")
-        if u in seen or v in seen:
+        i, j = first_u + uc, first_v + vc
+        if i in used or j in used:
             raise ValueError(f"not a matching: vertex matched twice at {(u, v)!r}")
-        seen.add(u)
-        seen.add(v)
+        used.add(i)
+        used.add(j)
         entry[0] += 1
     matched_per_base: dict[GadgetVertex, int] = {}
-    for bases, (count, _, _) in per_base_pair.items():
+    for bases, (count, *_) in per_base_pair.items():
         for w in bases:
             matched_per_base[w] = matched_per_base.get(w, 0) + count
     deficient = [w for w, n in copies.items() if matched_per_base.get(w, 0) < n]

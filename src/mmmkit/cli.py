@@ -40,6 +40,7 @@ from .solvers import exact_mbb, exact_min_vertex_cover, exact_mmm
 from .ulc import TOPOLOGIES, generate_yes
 
 DOT_CAP = 10_000
+SOLVE_BUDGET = 1_000_000  # `solve` search nodes unless --budget says otherwise
 
 
 def _read_text(path: str) -> str:
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact solvers on explicit graphs")
     p.add_argument("problem", choices=("mmm", "vc", "mbb"))
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--budget", type=int, default=None, help="search node limit")
+    p.add_argument("--budget", type=int, default=SOLVE_BUDGET, help="mmm and mbb search node limit")
     _add_io(p, "json", ("json",))
     p.set_defaults(func=_cmd_solve)
 

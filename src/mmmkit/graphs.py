@@ -87,9 +87,6 @@ class Graph:
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         return tuple(self._adjacency[v])
 
-    def degree(self, v: Vertex) -> int:
-        return len(self._adjacency[v])
-
     def index(self, v: Vertex) -> int:
         return self._index[v]
 

@@ -8,6 +8,7 @@ the sizes they can settle exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +63,22 @@ def _indexed_edges(graph):
     return verts, edges
 
 
+def _integer_weights(weights) -> tuple[list[int], int]:
+    """Scale exact positive weights to integers over their common denominator.
+
+    Returns the scaled weights and the denominator D, the ``math.lcm`` of the
+    weights' denominators (1 for integer weights).  A float or a bool is not
+    an exact weight and is refused rather than rounded.
+    """
+    for w in weights:
+        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+            raise ValueError(f"weights must be int or Fraction, got {type(w).__name__}")
+        if w <= 0:
+            raise ValueError("weights must be positive")
+    denom = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (denom // w.denominator) for w in weights], denom
+
+
 def exact_mmm(
     graph,
     weight: Callable | None = None,
@@ -73,86 +90,84 @@ def exact_mmm(
     maximal matching must put some edge at one of those two endpoints, so
     the candidates are exactly the free edges touching them.  Later
     candidates ban the earlier ones to keep the search tree duplicate-free.
-    Edge weights must be positive.
+    Edge weights must be positive ints or Fractions; the search runs on
+    edge bitmasks with the weights scaled to integers over their common
+    denominator, and a weighted call hands back a ``Fraction``.
     """
     verts, edges = _indexed_edges(graph)
     if len(verts) > MAX_EXACT_VERTICES:
         raise ValueError(f"exact search capped at {MAX_EXACT_VERTICES} vertices, got {len(verts)}")
-    wts = []
-    for i, j in edges:
-        w = Fraction(1) if weight is None else weight(verts[i], verts[j])
-        if w <= 0:
-            raise ValueError("edge weights must be positive")
-        wts.append(w)
-    touching = [[] for _ in verts]
+    if weight is None:
+        wts, denom = [1] * len(edges), 1
+    else:
+        wts, denom = _integer_weights([weight(verts[i], verts[j]) for i, j in edges])
+    at = [0] * len(verts)  # edge mask at each vertex
     for eid, (i, j) in enumerate(edges):
-        touching[i].append(eid)
-        touching[j].append(eid)
+        at[i] |= 1 << eid
+        at[j] |= 1 << eid
+    kill = [at[i] | at[j] for i, j in edges]  # edges sharing an end with each edge
+    keep = [~mask for mask in kill]
+    by_weight: dict[int, int] = {}
+    for eid, w in enumerate(wts):
+        by_weight[w] = by_weight.get(w, 0) | 1 << eid
+    classes = sorted(by_weight.items())  # weight classes, lightest first
 
-    greedy = greedy_maximal_matching(graph)
-    pos = {v: i for i, v in enumerate(verts)}
-    wmap = {e: w for e, w in zip(edges, wts)}
-    best_value = sum(
-        (wmap[(min(pos[u], pos[v]), max(pos[u], pos[v]))] for u, v in greedy),
-        Fraction(0),
-    )
-    best_chosen = tuple(
-        (min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in greedy
-    )
-
-    def free_free(matched: int) -> list[int]:
-        return [
-            eid
-            for eid, (i, j) in enumerate(edges)
-            if not (matched >> i) & 1 and not (matched >> j) & 1
-        ]
+    full = (1 << len(edges)) - 1
+    best_chosen, rest = [], full
+    while rest:  # the greedy maximal matching in edge order is the first incumbent
+        eid = (rest & -rest).bit_length() - 1
+        best_chosen.append(eid)
+        rest &= keep[eid]
+    best_value = sum(wts[eid] for eid in best_chosen)
 
     nodes = 0
     status = "optimal"
-    stack = [(0, 0, Fraction(0), ())]  # matched vertex mask, banned edge mask, value, chosen
+    # free-edge mask, banned-edge mask, value, chosen edges as (eid, parent) links
+    stack = [(full, 0, 0, None)]
     while stack:
         if node_limit is not None and nodes >= node_limit:
             status = "limit_reached"
             break
         nodes += 1
-        matched, banned, value, chosen = stack.pop()
-        ff = free_free(matched)
-        if not ff:
+        free, banned, value, chosen = stack.pop()
+        if not free:
             if value < best_value:
                 best_value = value
-                best_chosen = chosen
+                best_chosen = []
+                while chosen is not None:
+                    eid, chosen = chosen
+                    best_chosen.append(eid)
+                best_chosen.reverse()
+            continue
+        allowed = free & ~banned
+        if not allowed:
             continue
         # lower bound: a disjoint set of undominated edges, each needing a
         # matched endpoint, two per future matching edge at best
-        taken = 0
-        disjoint = 0
-        for eid in ff:
-            i, j = edges[eid]
-            if not (taken >> i) & 1 and not (taken >> j) & 1:
-                taken |= (1 << i) | (1 << j)
-                disjoint += 1
-        allowed = [eid for eid in ff if not (banned >> eid) & 1]
-        if not allowed:
+        first = (free & -free).bit_length() - 1
+        rest = free & keep[first]
+        disjoint = 1
+        while rest:
+            rest &= keep[(rest & -rest).bit_length() - 1]
+            disjoint += 1
+        for min_w, mask in classes:
+            if mask & allowed:
+                break
+        if value + (disjoint + 1) // 2 * min_w >= best_value:
             continue
-        min_w = min(wts[eid] for eid in allowed)
-        if value + -(-disjoint // 2) * min_w >= best_value:
-            continue
-        bi, bj = edges[ff[0]]
-        candidates = sorted(
-            eid for eid in allowed if edges[eid][0] in (bi, bj) or edges[eid][1] in (bi, bj)
-        )
+        candidates = allowed & kill[first]
         new_ban = banned
         children = []
-        for eid in candidates:
-            i, j = edges[eid]
-            children.append(
-                (matched | (1 << i) | (1 << j), new_ban, value + wts[eid], chosen + (edges[eid],))
-            )
-            new_ban |= 1 << eid
+        while candidates:
+            bit = candidates & -candidates
+            eid = bit.bit_length() - 1
+            children.append((free & keep[eid], new_ban, value + wts[eid], (eid, chosen)))
+            new_ban |= bit
+            candidates ^= bit
         stack.extend(reversed(children))
 
-    witness = tuple((verts[i], verts[j]) for i, j in best_chosen)
-    return SolveResult(status, best_value if weight is not None else int(best_value), witness, nodes)
+    witness = tuple((verts[edges[eid][0]], verts[edges[eid][1]]) for eid in best_chosen)
+    return SolveResult(status, Fraction(best_value, denom) if weight is not None else best_value, witness, nodes)
 
 
 def enumerate_maximal_matchings(graph) -> Iterator[tuple]:
@@ -189,7 +204,11 @@ def enumerate_maximal_matchings(graph) -> Iterator[tuple]:
 
 
 def exact_min_vertex_cover(graph, weight: Callable | None = None) -> SolveResult:
-    """Minimum (weight) vertex cover via a maximum-weight independent set search."""
+    """Minimum (weight) vertex cover via a maximum-weight independent set search.
+
+    Vertex weights must be positive ints or Fractions; like ``exact_mmm``
+    the search adds them as integers over their common denominator.
+    """
     verts, edges = _indexed_edges(graph)
     n = len(verts)
     if n > MAX_EXACT_VERTICES:
@@ -198,20 +217,21 @@ def exact_min_vertex_cover(graph, weight: Callable | None = None) -> SolveResult
     for i, j in edges:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    wts = [Fraction(1) if weight is None else Fraction(weight(v)) for v in verts]
-    if any(w <= 0 for w in wts):
-        raise ValueError("vertex weights must be positive")
-    total = sum(wts, Fraction(0))
+    if weight is None:
+        wts, denom = [1] * n, 1
+    else:
+        wts, denom = _integer_weights([weight(v) for v in verts])
+    total = sum(wts)
     full = (1 << n) - 1
 
-    best = [Fraction(0), 0]  # value, vertex mask
+    best = [0, 0]  # value, vertex mask
     nodes = 0
 
-    def rec(candidates: int, value: Fraction, chosen: int) -> None:
+    def rec(candidates: int, value: int, chosen: int) -> None:
         nonlocal nodes
         nodes += 1
         rest = candidates
-        slack = Fraction(0)
+        slack = 0
         while rest:
             low = rest & -rest
             slack += wts[low.bit_length() - 1]
@@ -233,11 +253,11 @@ def exact_min_vertex_cover(graph, weight: Callable | None = None) -> SolveResult
         rec(candidates & ~((1 << pick) | adj[pick]), value + wts[pick], chosen | (1 << pick))
         rec(candidates & ~(1 << pick), value, chosen)
 
-    rec(full, Fraction(0), 0)
+    rec(full, 0, 0)
     cover_mask = full & ~best[1]
     cover = tuple(verts[i] for i in range(n) if (cover_mask >> i) & 1)
     value = total - best[0]
-    return SolveResult("optimal", value if weight is not None else int(value), cover, nodes)
+    return SolveResult("optimal", Fraction(value, denom) if weight is not None else value, cover, nodes)
 
 
 def exact_mbb(bip: Bipartite, node_limit: int | None = None) -> SolveResult:

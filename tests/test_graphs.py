@@ -29,7 +29,6 @@ def test_graph_basics():
     assert g.has_edge(2, 1)
     assert not g.has_edge(0, 2)
     assert g.neighbors(1) == (0, 2)
-    assert g.degree(0) == 1
     assert 3 in g
     assert 9 not in g
 

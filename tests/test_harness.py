@@ -5,7 +5,7 @@ import pytest
 
 from mmmkit.cli import main
 from mmmkit.experiment import ExperimentConfig, run_experiment
-from mmmkit.graphs import Graph
+from mmmkit.graphs import Graph, random_graph
 from mmmkit.lemmas import Check, LemmaReport, lemma_ids, verify_lemma
 from mmmkit.serialize import SCHEMA, SchemaError, canonical_json, graph_to_payload
 
@@ -379,6 +379,36 @@ def test_cli_solve_budget_exhausted(tmp_path, capsys):
     assert run_cli("solve", "mmm", "--in", str(path), "--budget", "0") == 2
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "limit_reached"
+
+
+def test_cli_solve_has_a_default_budget(tmp_path, capsys):
+    # this search needs more than a million nodes; the default budget stops it
+    g = random_graph(40, 0.5, seed=0)
+    path = tmp_path / "g.json"
+    path.write_text(canonical_json(graph_to_payload(g)))
+    assert run_cli("solve", "mmm", "--in", str(path)) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "limit_reached"
+    assert out["nodes"] == 1_000_000
+
+
+def test_weighted_no_fails_when_the_solver_runs_out_of_budget(capsys):
+    # 1722 maximal matchings fit the budget, the 1916-node search does not
+    report = verify_lemma("weighted-no", {"budget": 1800})
+    agree = {c.name: c for c in report.checks}["exact-solvers-agree"]
+    assert not agree.ok
+    assert agree.detail == "exact_mmm reached the budget of 1800 nodes"
+    assert run_cli("verify-lemma", "weighted-no", "--budget", "1800") == 1
+    assert "exact_mmm reached the budget of 1800 nodes" in capsys.readouterr().out
+
+
+def test_sseh_no_budget_reaches_both_searches(capsys):
+    assert run_cli("verify-lemma", "sseh-no", "--budget", "3") == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] bound-below-exact: exact_mbb and exact_mmm reached the budget of 3 nodes" in out
+    report = verify_lemma("sseh-no", {"budget": 40})
+    bound = {c.name: c for c in report.checks}["bound-below-exact"]
+    assert (bound.ok, bound.detail) == (False, "exact_mmm reached the budget of 40 nodes")
 
 
 def test_cli_sseh_chains_into_solve_and_export(tmp_path, capsys):

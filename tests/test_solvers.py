@@ -2,7 +2,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mmmkit.bipartite import bipartise, random_planted_biclique, sseh_gadget
+from mmmkit.gadget import build_gadget
 from mmmkit.graphs import (
     Bipartite,
     Graph,
@@ -19,6 +23,7 @@ from mmmkit.solvers import (
     exact_mmm,
     greedy_maximal_matching,
 )
+from mmmkit.ulc import generate_yes
 
 F = Fraction
 
@@ -116,6 +121,85 @@ def test_exact_mmm_rejects_bad_inputs():
         exact_mmm(random_graph(61, 0.1, seed=0))
     with pytest.raises(ValueError):
         exact_mmm(path(3), weight=lambda u, v: 0)
+
+
+def test_exact_mmm_weighted_gadget_pinned():
+    # the 3-variable plus-weighted gadget behind the weighted-no lemma; the
+    # value, witness and node count were recorded from the Fraction-valued
+    # search this one replaced, so the search tree is unchanged
+    instance = generate_yes(3, 2, xi=F(0), topology="cycle", seed=0)
+    gadget = build_gadget(instance, F(1, 4), "extended")
+    result = exact_mmm(gadget.to_graph(), weight=lambda u, v: gadget.edge_weight(u, v, "plus"))
+    assert (result.status, result.value, result.nodes) == ("optimal", F(3, 4), 1916)
+    assert isinstance(result.value, Fraction)
+    assert [(tuple(u), tuple(v)) for u, v in result.witness] == [
+        ((0, 0), (0, 1)),
+        ((1, 0), (1, 1)),
+        ((2, 0), (2, 2)),
+    ]
+
+
+def test_exact_mmm_doubled_graph_pinned():
+    big = bipartise(random_graph(12, 0.5, seed=0)).to_graph()
+    result = exact_mmm(big)
+    assert (result.status, result.value, result.nodes) == ("optimal", 7, 5300)
+    assert isinstance(result.value, int)
+    assert [(u.side, u.base, v.side, v.base) for u, v in result.witness] == [
+        ("l", 4, "r", 3),
+        ("l", 3, "r", 11),
+        ("l", 11, "r", 4),
+        ("l", 9, "r", 6),
+        ("l", 6, "r", 9),
+        ("l", 7, "r", 8),
+        ("l", 8, "r", 7),
+    ]
+
+
+def test_exact_mmm_padded_gadget_pinned():
+    original, _, _ = random_planted_biclique(4, F(1, 4), seed=0)
+    padded = sseh_gadget(original, F(1, 4)).graph.to_graph()
+    result = exact_mmm(padded)
+    assert (result.status, result.value, result.nodes) == ("optimal", 5, 2146)
+    assert result.witness == (
+        (("a", 1), ("b", 1)),
+        (("a'", 0), ("b", 3)),
+        (("a", 3), ("b'", 0)),
+        (("a'", 1), ("b'", 1)),
+        (("a'", 2), ("b'", 2)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=7),
+    st.integers(min_value=0, max_value=2**31),
+    st.lists(
+        st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12),
+        min_size=21,
+        max_size=21,
+    ),
+)
+def test_exact_mmm_fraction_weights_agree_with_enumeration(n, seed, pool):
+    g = random_graph(n, 0.5, seed=seed)
+    weights = {e: pool[k] for k, e in enumerate(g.edges())}
+    result = exact_mmm(g, weight=lambda u, v: weights[(u, v)] if (u, v) in weights else weights[(v, u)])
+
+    def total(matching):
+        return sum((weights[(u, v)] if (u, v) in weights else weights[(v, u)] for u, v in matching), F(0))
+
+    assert result.optimal
+    assert isinstance(result.value, Fraction)
+    assert result.value == min(total(m) for m in enumerate_maximal_matchings(g))
+    assert verify_maximal_matching(g, result.witness)
+    assert total(result.witness) == result.value
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1/2"])
+def test_exact_solvers_reject_inexact_weights(bad):
+    with pytest.raises(ValueError):
+        exact_mmm(path(3), weight=lambda u, v: bad)
+    with pytest.raises(ValueError):
+        exact_min_vertex_cover(path(3), weight=lambda v: bad)
 
 
 def test_exact_mmm_node_limit():
