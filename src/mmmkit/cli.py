@@ -207,7 +207,7 @@ def _cmd_solve(args) -> int:
             result = exact_mmm(graph, node_limit=args.budget)
             witness = [[str(u), str(v)] for u, v in result.witness]
         else:
-            result = exact_min_vertex_cover(graph)
+            result = exact_min_vertex_cover(graph, node_limit=args.budget)
             witness = [str(v) for v in result.witness]
     out = {
         "problem": args.problem,
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact solvers on explicit graphs")
     p.add_argument("problem", choices=("mmm", "vc", "mbb"))
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--budget", type=int, default=SOLVE_BUDGET, help="mmm and mbb search node limit")
+    p.add_argument("--budget", type=int, default=SOLVE_BUDGET, help="search node limit")
     _add_io(p, "json", ("json",))
     p.set_defaults(func=_cmd_solve)
 

@@ -111,10 +111,9 @@ class GadgetGraph:
         return self.weight_by_size[v.subset.bit_count()]
 
     def total_weight(self) -> Fraction:
-        return sum(
-            (self.weight_by_size[s.bit_count()] for s in range(self.cloud_size)),
-            Fraction(0),
-        ) * self.num_vars
+        units = self.units_by_size
+        cloud = sum(units[s.bit_count()] for s in range(self.cloud_size))
+        return Fraction(cloud * self.num_vars, self.denominator)
 
     def __contains__(self, v) -> bool:
         return (
@@ -234,10 +233,22 @@ class GadgetGraph:
         return wu + wv if rule == "plus" else min(wu, wv)
 
     def matching_weight(self, matching: Iterable[tuple[GadgetVertex, GadgetVertex]], rule: str = "plus") -> Fraction:
-        return sum((self.edge_weight(u, v, rule) for u, v in matching), Fraction(0))
+        """The summed ``edge_weight`` of the matching's edges, added as
+        integers over the common denominator D: a plus edge weighs the units
+        of both ends, a min edge the smaller of them."""
+        if rule not in EDGE_RULES:
+            raise ValueError(f"edge weight rule must be one of {EDGE_RULES}")
+        units = self.units_by_size
+        if rule == "plus":
+            total = sum(units[u.subset.bit_count()] + units[v.subset.bit_count()] for u, v in matching)
+        else:
+            total = sum(min(units[u.subset.bit_count()], units[v.subset.bit_count()]) for u, v in matching)
+        return Fraction(total, self.denominator)
 
     def set_weight(self, vertex_set: Iterable[GadgetVertex]) -> Fraction:
-        return sum((self.vertex_weight(v) for v in vertex_set), Fraction(0))
+        """The summed ``vertex_weight`` of the set, added in units over D."""
+        units = self.units_by_size
+        return Fraction(sum(units[v.subset.bit_count()] for v in vertex_set), self.denominator)
 
     # -- materialization ---------------------------------------------------
 

@@ -176,7 +176,10 @@ def enumerate_maximal_matchings(graph) -> Iterator[tuple]:
     Decides vertices in index order: the lowest undecided vertex either
     pairs with an undecided neighbor or is declared permanently unmatched,
     which is legal only when no already-unmatched neighbor exists.  Leaves
-    of the decision tree are exactly the maximal matchings.
+    of the decision tree are exactly the maximal matchings.  The tree is
+    walked depth first from an explicit stack, pairings in ascending
+    neighbor order before the unmatched branch, and the pairs on the way to
+    the current node are kept in one list that is cut back on each pop.
     """
     verts, edges = _indexed_edges(graph)
     n = len(verts)
@@ -184,30 +187,40 @@ def enumerate_maximal_matchings(graph) -> Iterator[tuple]:
     for i, j in edges:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-
-    def rec(decided: int, unmatched: int, chosen: tuple):
-        if decided == (1 << n) - 1:
-            yield chosen
-            return
+    full = (1 << n) - 1
+    path: list[tuple] = []  # the pairs chosen on the way to the current node
+    # decided mask, unmatched mask, length of the parent's path, pair added or None
+    stack = [(0, 0, 0, None)]
+    while stack:
+        decided, unmatched, depth, pair = stack.pop()
+        del path[depth:]
+        if pair is not None:
+            path.append(pair)
+        if decided == full:
+            yield tuple(path)
+            continue
+        depth = len(path)
         i = (~decided & (decided + 1)).bit_length() - 1  # lowest undecided
-        fn = adj[i] & ~decided
-        while fn:
-            low = fn & -fn
-            j = low.bit_length() - 1
-            yield from rec(decided | (1 << i) | (1 << j), unmatched, chosen + ((i, j),))
-            fn ^= low
         if not (adj[i] & unmatched):
-            yield from rec(decided | (1 << i), unmatched | (1 << i), chosen)
+            stack.append((decided | 1 << i, unmatched | 1 << i, depth, None))
+        fn = adj[i] & ~decided
+        while fn:  # highest neighbor first, so the lowest is popped first
+            j = fn.bit_length() - 1
+            fn ^= 1 << j
+            stack.append((decided | 1 << i | 1 << j, unmatched, depth, (verts[i], verts[j])))
 
-    for chosen in rec(0, 0, ()):
-        yield tuple((verts[i], verts[j]) for i, j in chosen)
 
-
-def exact_min_vertex_cover(graph, weight: Callable | None = None) -> SolveResult:
+def exact_min_vertex_cover(
+    graph,
+    weight: Callable | None = None,
+    node_limit: int | None = None,
+) -> SolveResult:
     """Minimum (weight) vertex cover via a maximum-weight independent set search.
 
     Vertex weights must be positive ints or Fractions; like ``exact_mmm``
-    the search adds them as integers over their common denominator.
+    the search adds them as integers over their common denominator.  A
+    search that reaches ``node_limit`` stops with ``limit_reached`` and the
+    best cover found so far (at worst every vertex).
     """
     verts, edges = _indexed_edges(graph)
     n = len(verts)
@@ -226,9 +239,13 @@ def exact_min_vertex_cover(graph, weight: Callable | None = None) -> SolveResult
 
     best = [0, 0]  # value, vertex mask
     nodes = 0
+    status = "optimal"
 
-    def rec(candidates: int, value: int, chosen: int) -> None:
-        nonlocal nodes
+    def rec(candidates: int, value: int, chosen: int) -> bool:
+        nonlocal nodes, status
+        if node_limit is not None and nodes >= node_limit:
+            status = "limit_reached"
+            return False
         nodes += 1
         rest = candidates
         slack = 0
@@ -237,10 +254,10 @@ def exact_min_vertex_cover(graph, weight: Callable | None = None) -> SolveResult
             slack += wts[low.bit_length() - 1]
             rest ^= low
         if value + slack <= best[0]:
-            return
+            return True
         if candidates == 0:
             best[0], best[1] = value, chosen
-            return
+            return True
         pick, pick_deg = -1, -1
         rest = candidates
         while rest:
@@ -250,14 +267,15 @@ def exact_min_vertex_cover(graph, weight: Callable | None = None) -> SolveResult
             if deg > pick_deg:
                 pick, pick_deg = i, deg
             rest ^= low
-        rec(candidates & ~((1 << pick) | adj[pick]), value + wts[pick], chosen | (1 << pick))
-        rec(candidates & ~(1 << pick), value, chosen)
+        return rec(
+            candidates & ~((1 << pick) | adj[pick]), value + wts[pick], chosen | (1 << pick)
+        ) and rec(candidates & ~(1 << pick), value, chosen)
 
     rec(full, 0, 0)
     cover_mask = full & ~best[1]
     cover = tuple(verts[i] for i in range(n) if (cover_mask >> i) & 1)
     value = total - best[0]
-    return SolveResult("optimal", Fraction(value, denom) if weight is not None else value, cover, nodes)
+    return SolveResult(status, Fraction(value, denom) if weight is not None else value, cover, nodes)
 
 
 def exact_mbb(bip: Bipartite, node_limit: int | None = None) -> SolveResult:

@@ -149,6 +149,33 @@ def test_edge_weight_rules():
     assert gadget.set_weight([u, v]) == F(10, 32)
 
 
+def test_matching_weight_checks_the_rule_before_summing():
+    gadget = build_gadget(two_var_instance(), F(1, 4))
+    with pytest.raises(ValueError):
+        gadget.matching_weight([], "sum")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_colors=st.integers(1, 4),
+    epsilon=st.sampled_from((F(1, 8), F(1, 4), F(3, 10))),
+    seed=st.integers(0, 2**16),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_integer_weight_sums_equal_fraction_sums(num_colors, epsilon, seed, rnd):
+    inst = generate_yes(3, num_colors, xi=F(1, 4), topology="cycle", seed=seed)
+    gadget = build_gadget(inst, epsilon)
+    edges = list(gadget.edges())
+    chosen = rnd.sample(edges, rnd.randint(0, min(24, len(edges))))
+    for rule in ("plus", "min"):
+        expected = sum((gadget.edge_weight(u, v, rule) for u, v in chosen), F(0))
+        assert gadget.matching_weight(chosen, rule) == expected
+    verts = list(gadget.vertices())
+    subset = rnd.sample(verts, rnd.randint(0, len(verts)))
+    assert gadget.set_weight(subset) == sum((gadget.vertex_weight(v) for v in subset), F(0))
+    assert gadget.total_weight() == gadget.set_weight(verts) == 1
+
+
 def test_planted_independent_set_weight_and_size():
     inst = generate_yes(4, 3, xi=0, seed=7)
     gadget = build_gadget(inst, F(1, 8))

@@ -392,6 +392,15 @@ def test_cli_solve_has_a_default_budget(tmp_path, capsys):
     assert out["nodes"] == 1_000_000
 
 
+def test_cli_solve_vc_obeys_the_budget(tmp_path, capsys):
+    # the unlimited search takes 75,061 nodes
+    path = tmp_path / "g.json"
+    path.write_text(canonical_json(graph_to_payload(random_graph(60, 0.1, seed=0))))
+    assert run_cli("solve", "vc", "--in", str(path), "--budget", "1000") == 2
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["nodes"]) == ("limit_reached", 1000)
+
+
 def test_weighted_no_fails_when_the_solver_runs_out_of_budget(capsys):
     # 1722 maximal matchings fit the budget, the 1916-node search does not
     report = verify_lemma("weighted-no", {"budget": 1800})
@@ -400,6 +409,33 @@ def test_weighted_no_fails_when_the_solver_runs_out_of_budget(capsys):
     assert agree.detail == "exact_mmm reached the budget of 1800 nodes"
     assert run_cli("verify-lemma", "weighted-no", "--budget", "1800") == 1
     assert "exact_mmm reached the budget of 1800 nodes" in capsys.readouterr().out
+
+
+def test_weighted_no_fails_when_enumeration_runs_out_of_budget(capsys):
+    assert run_cli("verify-lemma", "weighted-no", "--budget", "100") == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] matched-complement-identity: enumeration reached the budget of 100 maximal matchings" in out
+    assert "[FAIL] unmatched-set-independent: enumeration reached the budget of 100 maximal matchings" in out
+    report = verify_lemma("weighted-no", {"budget": 100})
+    agree = {c.name: c for c in report.checks}["exact-solvers-agree"]
+    assert (agree.ok, agree.detail) == (
+        False,
+        "enumeration reached the budget of 100 maximal matchings; exact_mmm reached the budget of 100 nodes",
+    )
+
+
+def test_blowup_soundness_fails_when_enumeration_runs_out_of_budget():
+    report = verify_lemma("blowup-soundness", {"budget": 100})
+    assert [(c.ok, c.detail) for c in report.checks] == [
+        (False, "enumeration reached the budget of 100 maximal matchings")
+    ] * 2
+
+
+def test_verify_lemma_all_reports_every_lemma_under_a_small_budget(capsys):
+    assert run_cli("verify-lemma", "all", "--budget", "100") == 1
+    out = capsys.readouterr().out
+    headers = [line.split(":")[0] for line in out.splitlines() if line.startswith("lemma ")]
+    assert headers == [f"lemma {lemma}" for lemma in lemma_ids()]
 
 
 def test_sseh_no_budget_reaches_both_searches(capsys):

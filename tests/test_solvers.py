@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -202,6 +203,23 @@ def test_exact_solvers_reject_inexact_weights(bad):
         exact_min_vertex_cover(path(3), weight=lambda v: bad)
 
 
+def test_exact_min_vertex_cover_node_limit():
+    g = random_graph(60, 0.1, seed=0)
+    result = exact_min_vertex_cover(g, node_limit=1000)
+    assert (result.status, result.nodes) == ("limit_reached", 1000)
+    # the best cover so far is a genuine cover, no smaller than the optimum
+    assert verify_vertex_cover(g, result.witness)
+    assert result.value == len(result.witness) > 37
+
+
+@pytest.mark.parametrize("n,p,seed,value,nodes", [(30, 0.2, 0, 20, 1363), (40, 0.15, 1, 24, 2143)])
+def test_exact_min_vertex_cover_node_counts_without_a_limit(n, p, seed, value, nodes):
+    g = random_graph(n, p, seed=seed)
+    for limit in (None, nodes):
+        result = exact_min_vertex_cover(g, node_limit=limit)
+        assert (result.status, result.value, result.nodes) == ("optimal", value, nodes)
+
+
 def test_exact_mmm_node_limit():
     g = random_graph(12, 0.5, seed=1)
     result = exact_mmm(g, node_limit=1)
@@ -228,6 +246,71 @@ def test_enumerate_counts_on_named_graphs(g, count):
     assert len(as_sets) == count  # no duplicates
     for m in found:
         assert verify_maximal_matching(g, m)
+
+
+def recursive_maximal_matchings(graph):
+    """The recursive enumerator that the explicit-stack one replaced, kept
+    here as the reference for the order of its output."""
+    verts = tuple(graph.vertices())
+    pos = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    adj = [0] * n
+    for u, v in graph.edges():
+        adj[pos[u]] |= 1 << pos[v]
+        adj[pos[v]] |= 1 << pos[u]
+
+    def rec(decided, unmatched, chosen):
+        if decided == (1 << n) - 1:
+            yield chosen
+            return
+        i = (~decided & (decided + 1)).bit_length() - 1
+        fn = adj[i] & ~decided
+        while fn:
+            low = fn & -fn
+            j = low.bit_length() - 1
+            yield from rec(decided | (1 << i) | (1 << j), unmatched, chosen + ((i, j),))
+            fn ^= low
+        if not (adj[i] & unmatched):
+            yield from rec(decided | (1 << i), unmatched | (1 << i), chosen)
+
+    for chosen in rec(0, 0, ()):
+        yield tuple((verts[i], verts[j]) for i, j in chosen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=9),
+    st.sampled_from((0.2, 0.4, 0.6, 0.9)),
+    st.integers(min_value=0, max_value=2**31),
+    st.booleans(),
+)
+def test_enumeration_order_matches_the_recursive_reference(n, p, seed, doubled):
+    # a doubled graph has twice its base's vertices, so its base stays at 5 or fewer
+    g = bipartise(random_graph(n // 2 + 1, p, seed=seed)).to_graph() if doubled else random_graph(n, p, seed=seed)
+    assert list(enumerate_maximal_matchings(g)) == list(recursive_maximal_matchings(g))
+
+
+def weighted_no_gadget_graph():
+    inst = generate_yes(3, 2, xi=F(0), topology="cycle", seed=0)
+    return build_gadget(inst, F(1, 4), "extended").to_graph()
+
+
+@pytest.mark.parametrize(
+    "make,count,digest",
+    [
+        (weighted_no_gadget_graph, 1722, "6afb93d550ce51c32a00b78fc24c968776a1816e795e0943da11b2cfbe5dddb7"),
+        (
+            lambda: bipartise(random_graph(8, 0.5, seed=0)).to_graph(),
+            344,
+            "96474a31258e4a3b73de53f7d64e0d4ddb5edf9752d37f934bc793f34e337177",
+        ),
+    ],
+    ids=["weighted-no-gadget", "doubled-g8"],
+)
+def test_enumeration_output_is_pinned(make, count, digest):
+    found = list(enumerate_maximal_matchings(make()))
+    assert len(found) == count
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("seed", range(30))
