@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import Bipartite, Graph, verify_matching, verify_vertex_cover
 
@@ -112,44 +112,6 @@ def double_matching(bip: Bipartisation, matching: Iterable) -> tuple:
         out.append((BipVertex("l", u), BipVertex("r", v)))
         out.append((BipVertex("l", v), BipVertex("r", u)))
     return tuple(out)
-
-
-def cycle_cover(vertices: Iterable, adjacent: Callable[[object, object], bool]) -> dict | None:
-    """A permutation sigma of the vertices with x ~ sigma(x) for every x, or None.
-
-    sigma is a perfect matching x^l - sigma(x)^r of the bipartite double,
-    grown by breadth-first augmenting paths: left vertices in the given
-    order, each scanning right vertices in the given order, so the result is
-    deterministic.  Its cycles (2-cycles included) carry half a unit per arc,
-    so sigma exists exactly when the graph has a fractional perfect matching.
-    """
-    verts = list(vertices)
-    nbrs = [[j for j, w in enumerate(verts) if adjacent(v, w)] for v in verts]
-    left_of: dict[int, int] = {}  # right index -> the left index matched to it
-    right_of: dict[int, int] = {}
-    for i in range(len(verts)):
-        reached_from: dict[int, int] = {}  # right index -> left index that reached it
-        frontier, free = [i], None
-        for a in frontier:  # grows while it is scanned
-            for j in nbrs[a]:
-                if j in reached_from:
-                    continue
-                reached_from[j] = a
-                if j not in left_of:
-                    free = j
-                    break
-                frontier.append(left_of[j])
-            if free is not None:
-                break
-        if free is None:
-            return None
-        j = free
-        while j is not None:  # flip the augmenting path back to i
-            a = reached_from[j]
-            j_next = right_of.get(a)
-            left_of[j], right_of[a] = a, j
-            j = j_next
-    return {verts[a]: verts[j] for a, j in sorted(right_of.items())}
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .bipartite import random_planted_biclique, sseh_gadget
-from .blowup import blow_up
-from .experiment import ExperimentConfig, run_experiment
-from .fracmatch import SaturationReport, build_full, validate
 from .gadget import FLAVORS, build_gadget
-from .graphs import Bipartite, Graph
-from .lemmas import lemma_ids, verify_lemma
 from .serialize import (
     SCHEMA,
     SchemaError,
@@ -30,14 +25,18 @@ from .serialize import (
     gadget_from_payload,
     gadget_to_payload,
     graph_to_dot,
-    graph_to_payload,
     instance_from_payload,
     instance_to_payload,
     rows_to_csv,
     to_payload,
 )
-from .solvers import exact_mbb, exact_min_vertex_cover, exact_mmm
 from .ulc import TOPOLOGIES, generate_yes
+
+# Only the parser and the light subcommands (gen-ulc, build-gadget, export)
+# import at module level; every other subcommand imports what it runs in its
+# handler, so a cold start loads no module its subcommand does not use.
+if TYPE_CHECKING:
+    from .fracmatch import SaturationReport
 
 DOT_CAP = 10_000
 SOLVE_BUDGET = 1_000_000  # `solve` search nodes unless --budget says otherwise
@@ -77,6 +76,14 @@ def _parse_param_value(raw: str):
         return raw
 
 
+def _rational(flag: str, raw: str) -> Fraction:
+    """The value of a rational option; a malformed one is a usage error."""
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} wants a rational such as 1/8, got {raw!r}") from None
+
+
 def _dot_guard(obj) -> None:
     n = getattr(obj, "n_vertices", None)
     if n is not None and n > DOT_CAP:
@@ -87,7 +94,7 @@ def _cmd_gen_ulc(args) -> int:
     instance = generate_yes(
         args.num_vars,
         args.num_colors,
-        xi=Fraction(args.xi),
+        xi=_rational("--xi", args.xi),
         topology=args.topology,
         seed=args.seed,
         p_edge=args.p_edge,
@@ -98,7 +105,7 @@ def _cmd_gen_ulc(args) -> int:
 
 def _cmd_build_gadget(args) -> int:
     instance = instance_from_payload(_load_payload(args.input))
-    gadget = build_gadget(instance, Fraction(args.epsilon), args.flavor)
+    gadget = build_gadget(instance, _rational("--epsilon", args.epsilon), args.flavor)
     if args.format == "dot":
         _dot_guard(gadget)
         _write_text(args.out, graph_to_dot(gadget, name="gadget", weighted=True))
@@ -121,6 +128,8 @@ def _first_violation(report: SaturationReport) -> str:
 
 
 def _cmd_fracmatch(args) -> int:
+    from .fracmatch import build_full, validate
+
     payload = _load_payload(args.input)
     gadget = gadget_from_payload(payload)
     fm = build_full(gadget)
@@ -143,8 +152,10 @@ def _cmd_fracmatch(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
+    from .blowup import blow_up
+
     gadget = gadget_from_payload(_load_payload(args.input))
-    blowup = blow_up(gadget, Fraction(args.rho))
+    blowup = blow_up(gadget, _rational("--rho", args.rho))
     if args.format == "dot":
         _dot_guard(blowup)
         _write_text(args.out, graph_to_dot(blowup, name="blowup"))
@@ -157,6 +168,7 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_bipartise(args) -> int:
     from .bipartite import bipartise
+    from .graphs import Graph
 
     payload = _load_payload(args.input)
     base = from_payload(payload)
@@ -174,8 +186,11 @@ def _cmd_bipartise(args) -> int:
 
 
 def _cmd_sseh(args) -> int:
-    original, k_a, k_b = random_planted_biclique(args.n, Fraction(args.epsilon), seed=args.seed)
-    gadget = sseh_gadget(original, Fraction(args.epsilon))
+    from .bipartite import random_planted_biclique, sseh_gadget
+
+    epsilon = _rational("--epsilon", args.epsilon)
+    original, k_a, k_b = random_planted_biclique(args.n, epsilon, seed=args.seed)
+    gadget = sseh_gadget(original, epsilon)
     if args.format == "dot":
         _write_text(args.out, graph_to_dot(gadget.graph, name="padded"))
     elif args.format == "json":
@@ -194,6 +209,9 @@ def _cmd_sseh(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .graphs import Bipartite, Graph
+    from .solvers import exact_mbb, exact_min_vertex_cover, exact_mmm
+
     payload = _load_payload(args.input)
     obj = from_payload(payload)
     if args.problem == "mbb":
@@ -221,6 +239,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify_lemma(args) -> int:
+    from .lemmas import LEMMAS, lemma_ids, verify_lemma
+
     params = {}
     for item in args.param or ():
         if "=" not in item:
@@ -236,8 +256,6 @@ def _cmd_verify_lemma(args) -> int:
     for lemma_id in ids:
         usable = dict(params)
         if args.lemma == "all":
-            from .lemmas import LEMMAS
-
             defaults = LEMMAS[lemma_id][1]
             usable = {k: v for k, v in params.items() if k in defaults}
         reports.append(verify_lemma(lemma_id, usable))
@@ -250,6 +268,8 @@ def _cmd_verify_lemma(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiment import ExperimentConfig, run_experiment
+
     config = ExperimentConfig.from_payload(_load_payload(args.config))
     result = run_experiment(config)
     if args.format == "csv":

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .bipartite import cycle_cover
 from .bitsets import down_closure, elements_of, submasks
 from .graphs import Graph
 from .ulc import MAX_COLORS, Planted, UlcInstance
@@ -341,6 +340,44 @@ def bracket_partner(subset: int, ground: int) -> int:
     for c in open_colours[: ground.bit_count() - 2 * subset.bit_count()]:
         grown |= 1 << c
     return ground ^ grown
+
+
+def cycle_cover(vertices: Iterable, adjacent: Callable[[object, object], bool]) -> dict | None:
+    """A permutation sigma of the vertices with x ~ sigma(x) for every x, or None.
+
+    sigma is a perfect matching x^l - sigma(x)^r of the bipartite double,
+    grown by breadth-first augmenting paths: left vertices in the given
+    order, each scanning right vertices in the given order, so the result is
+    deterministic.  Its cycles (2-cycles included) carry half a unit per arc,
+    so sigma exists exactly when the graph has a fractional perfect matching.
+    """
+    verts = list(vertices)
+    nbrs = [[j for j, w in enumerate(verts) if adjacent(v, w)] for v in verts]
+    left_of: dict[int, int] = {}  # right index -> the left index matched to it
+    right_of: dict[int, int] = {}
+    for i in range(len(verts)):
+        reached_from: dict[int, int] = {}  # right index -> left index that reached it
+        frontier, free = [i], None
+        for a in frontier:  # grows while it is scanned
+            for j in nbrs[a]:
+                if j in reached_from:
+                    continue
+                reached_from[j] = a
+                if j not in left_of:
+                    free = j
+                    break
+                frontier.append(left_of[j])
+            if free is not None:
+                break
+        if free is None:
+            return None
+        j = free
+        while j is not None:  # flip the augmenting path back to i
+            a = reached_from[j]
+            j_next = right_of.get(a)
+            left_of[j], right_of[a] = a, j
+            j = j_next
+    return {verts[a]: verts[j] for a, j in sorted(right_of.items())}
 
 
 class StagePlan:

@@ -13,15 +13,18 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .bipartite import BipVertex
-from .blowup import BlowupGraph, BlowupVertex, blow_up
-from .fracmatch import FractionalMatching
+from .bitsets import elements_of, mask_of
 from .gadget import GadgetGraph, GadgetVertex, build_gadget
 from .graphs import Bipartite, Graph
-from .bitsets import elements_of, mask_of
 from .ulc import Planted, UlcInstance, new_instance
+
+# blowups, fractional matchings and bipartite vertices are imported where
+# they are built, so reading an instance or a gadget loads none of them
+if TYPE_CHECKING:
+    from .blowup import BlowupGraph
+    from .fracmatch import FractionalMatching
 
 SCHEMA = "mmmkit/1"
 
@@ -93,9 +96,12 @@ def _expect_kind(payload, kind: str, path: str = "$") -> None:
 def encode_vertex(v):
     if isinstance(v, GadgetVertex):
         return {"variable": v.variable, "colors": list(elements_of(v.subset))}
-    if isinstance(v, BlowupVertex):
+    # blowup and bipartite vertices are named tuples, told apart by their
+    # fields as decode_vertex tells their encodings apart by keys
+    fields = getattr(v, "_fields", None)
+    if fields == ("base", "copy"):
         return {"base": encode_vertex(v.base), "copy": v.copy}
-    if isinstance(v, BipVertex):
+    if fields == ("side", "base"):
         return {"side": v.side, "base": encode_vertex(v.base)}
     if isinstance(v, tuple):
         return {"tuple": [encode_vertex(x) for x in v]}
@@ -111,12 +117,16 @@ def decode_vertex(payload, path: str = "$"):
         raise SchemaError(f"bad vertex encoding {payload!r}", path)
     if "variable" in payload and "colors" in payload:
         colors = payload["colors"]
-        if not isinstance(colors, list) or not all(isinstance(c, int) for c in colors):
-            raise SchemaError("colors must be a list of integers", f"{path}.colors")
+        if not isinstance(colors, list) or not all(_is_int(c) and c >= 0 for c in colors):
+            raise SchemaError("colors must be a list of nonnegative integers", f"{path}.colors")
         return GadgetVertex(payload["variable"], mask_of(colors))
     if "copy" in payload and "base" in payload:
+        from .blowup import BlowupVertex
+
         return BlowupVertex(decode_vertex(payload["base"], f"{path}.base"), payload["copy"])
     if "side" in payload and "base" in payload:
+        from .bipartite import BipVertex
+
         return BipVertex(payload["side"], decode_vertex(payload["base"], f"{path}.base"))
     if "tuple" in payload:
         items = payload["tuple"]
@@ -205,6 +215,8 @@ def blowup_to_payload(blowup: BlowupGraph) -> dict:
 
 
 def blowup_from_payload(payload, path: str = "$") -> BlowupGraph:
+    from .blowup import blow_up
+
     _expect_kind(payload, "blowup_graph", path)
     gadget = gadget_from_payload(_expect(payload, "gadget", path), f"{path}.gadget")
     return blow_up(gadget, parse_fraction(_expect(payload, "rho", path), f"{path}.rho"))
@@ -304,7 +316,7 @@ def matching_to_payload(matching: Iterable) -> dict:
 def matching_from_payload(payload, path: str = "$") -> tuple:
     _expect_kind(payload, "matching", path)
     pairs = []
-    for i, pair in enumerate(_expect(payload, "pairs", path)):
+    for i, pair in enumerate(_expect_list(payload, "pairs", path)):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaError("pair must have two endpoints", f"{path}.pairs[{i}]")
         pairs.append(
@@ -329,30 +341,24 @@ def fracmatch_to_payload(fm: FractionalMatching) -> dict:
 
 
 def fracmatch_from_payload(payload, path: str = "$") -> FractionalMatching:
+    from .fracmatch import FractionalMatching
+
     _expect_kind(payload, "fractional_matching", path)
     gadget = gadget_from_payload(_expect(payload, "gadget", path), f"{path}.gadget")
     fm = FractionalMatching(gadget)
-    for i, row in enumerate(_expect(payload, "edges", path)):
+    for i, row in enumerate(_expect_list(payload, "edges", path)):
+        where = f"{path}.edges[{i}]"
         if not (isinstance(row, list) and len(row) == 3):
-            raise SchemaError("edge row must be [u, v, value]", f"{path}.edges[{i}]")
-        fm.add(
-            decode_vertex(row[0], f"{path}.edges[{i}][0]"),
-            decode_vertex(row[1], f"{path}.edges[{i}][1]"),
-            parse_fraction(row[2], f"{path}.edges[{i}][2]"),
-        )
+            raise SchemaError("edge row must be [u, v, value]", where)
+        ends = [decode_vertex(row[k], f"{where}[{k}]") for k in (0, 1)]
+        for k, v in enumerate(ends):
+            if not (isinstance(v, GadgetVertex) and _is_int(v.variable) and v in gadget):
+                raise SchemaError(f"{row[k]!r} is not a vertex of the gadget", f"{where}[{k}]")
+        fm.add(ends[0], ends[1], parse_fraction(row[2], f"{where}[2]"))
     return fm
 
 
 # -- dispatch --------------------------------------------------------------
-
-_ENCODERS = (
-    (UlcInstance, instance_to_payload),
-    (GadgetGraph, gadget_to_payload),
-    (BlowupGraph, blowup_to_payload),
-    (FractionalMatching, fracmatch_to_payload),
-    (Graph, graph_to_payload),
-    (Bipartite, bipartite_to_payload),
-)
 
 _DECODERS = {
     "ulc_instance": instance_from_payload,
@@ -367,7 +373,17 @@ _DECODERS = {
 
 
 def to_payload(obj) -> dict:
-    for cls, encoder in _ENCODERS:
+    from .blowup import BlowupGraph
+    from .fracmatch import FractionalMatching
+
+    for cls, encoder in (
+        (UlcInstance, instance_to_payload),
+        (GadgetGraph, gadget_to_payload),
+        (BlowupGraph, blowup_to_payload),
+        (FractionalMatching, fracmatch_to_payload),
+        (Graph, graph_to_payload),
+        (Bipartite, bipartite_to_payload),
+    ):
         if isinstance(obj, cls):
             return encoder(obj)
     raise SchemaError(f"no JSON encoding for {type(obj).__name__}")

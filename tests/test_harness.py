@@ -272,7 +272,7 @@ def test_cli_build_gadget_rejects_mistyped_instance_fields(tmp_path, capsys, key
 
 
 def test_cli_fracmatch_validates_before_writing(tmp_path, capsys, monkeypatch):
-    import mmmkit.cli
+    import mmmkit.fracmatch
     from mmmkit.fracmatch import build_full
 
     def overloaded(gadget):
@@ -281,7 +281,7 @@ def test_cli_fracmatch_validates_before_writing(tmp_path, capsys, monkeypatch):
         fm.add(u, v, F(1, 3))  # past the edge's capacity
         return fm
 
-    monkeypatch.setattr(mmmkit.cli, "build_full", overloaded)
+    monkeypatch.setattr(mmmkit.fracmatch, "build_full", overloaded)
     gadget = _gadget_file(tmp_path)
     capsys.readouterr()
     for fmt in ("json", "csv"):
@@ -431,6 +431,22 @@ def test_blowup_soundness_fails_when_enumeration_runs_out_of_budget():
     ] * 2
 
 
+def test_blowup_soundness_cover_search_obeys_the_budget(capsys):
+    assert run_cli("verify-lemma", "blowup-soundness", "--budget", "1") == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] matching-vs-cover-bound: " in out
+    assert "exact_min_vertex_cover reached the budget of 1 nodes" in out
+
+
+def test_path_cover_cover_search_obeys_the_budget():
+    report = verify_lemma("path-cover", {"budget": 1})
+    check = {c.name: c for c in report.checks}["doubled-minimum-vs-cover"]
+    assert (check.ok, check.detail) == (
+        False,
+        "exact_mmm and exact_min_vertex_cover reached the budget of 1 nodes",
+    )
+
+
 def test_verify_lemma_all_reports_every_lemma_under_a_small_budget(capsys):
     assert run_cli("verify-lemma", "all", "--budget", "100") == 1
     out = capsys.readouterr().out
@@ -534,3 +550,62 @@ def test_cli_version_exits(capsys):
         run_cli("--version")
     assert exit_info.value.code == 0
     assert "mmmkit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("gen-ulc", "--num-vars", "3", "--num-colors", "2", "--xi", "1/0"), "--xi"),
+        (("build-gadget", "--in", "{inst}", "--epsilon", "1/0"), "--epsilon"),
+        (("sseh", "--n", "4", "--epsilon", "1/0"), "--epsilon"),
+        (("blowup", "--in", "{gadget}", "--rho", "1/0"), "--rho"),
+        (("gen-ulc", "--num-vars", "3", "--num-colors", "2", "--xi", "nan"), "--xi"),
+    ],
+)
+def test_cli_rejects_a_bad_rational_with_exit_2(tmp_path, capsys, argv, flag):
+    gadget = _gadget_file(tmp_path)
+    files = {"inst": tmp_path / "inst.json", "gadget": gadget}
+    capsys.readouterr()
+    assert run_cli(*(arg.format(**files) for arg in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} wants a rational") and "Traceback" not in captured.err
+
+
+def _fracmatch_file(tmp_path):
+    fm = tmp_path / "fm.json"
+    assert run_cli("fracmatch", "--in", str(_gadget_file(tmp_path)), "--out", str(fm)) == 0
+    return fm
+
+
+OUTSIDE = "is not a vertex of the gadget (at $.edges[0][0])"
+BAD_COLOURS = "colors must be a list of nonnegative integers (at $.edges[0][0].colors)"
+
+
+@pytest.mark.parametrize(
+    "end, message",
+    [
+        ({"variable": "a", "colors": [0]}, OUTSIDE),
+        ({"variable": 9, "colors": [0]}, OUTSIDE),  # a 4-variable gadget
+        ({"variable": 0, "colors": [5]}, OUTSIDE),  # a 3-colour gadget
+        (7, OUTSIDE),
+        ({"variable": 0, "colors": [True]}, BAD_COLOURS),
+        ({"variable": 0, "colors": [-1]}, BAD_COLOURS),
+    ],
+)
+def test_cli_export_rejects_a_fracmatch_row_outside_its_gadget(tmp_path, capsys, end, message):
+    fm = _edited_copy(_fracmatch_file(tmp_path), lambda row: row.__setitem__(0, end), "edges", 0)
+    capsys.readouterr()
+    assert run_cli("export", "--in", str(fm)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_export_rejects_matching_pairs_that_are_not_a_list(tmp_path, capsys):
+    path = tmp_path / "matching.json"
+    path.write_text(canonical_json({"schema": SCHEMA, "kind": "matching", "pairs": 5}))
+    assert run_cli("export", "--in", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pairs must be a list" in captured.err and "Traceback" not in captured.err

@@ -4,7 +4,6 @@ from itertools import combinations, permutations
 import pytest
 
 import mmmkit.gadget
-from mmmkit.bipartite import cycle_cover
 from mmmkit.bitsets import k_subset_masks
 from mmmkit.blowup import blow_up, discretize_matching
 from mmmkit.fracmatch import (
@@ -16,6 +15,7 @@ from mmmkit.fracmatch import (
 from mmmkit.gadget import (
     bracket_partner,
     build_gadget,
+    cycle_cover,
     planted_independent_set,
     stage_plan,
     yes_matching,
