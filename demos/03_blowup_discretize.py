@@ -32,7 +32,7 @@ def main() -> None:
           f"of {gadget.n_vertices} gadget vertices")
 
     matching = discretize_matching(fm, blowup)
-    size = len(matching.pairs)
+    size = len(matching)
     print(f"discretized matching: {size} edges")
 
     verdict = blowup_maximality_check(blowup, matching)

@@ -23,14 +23,8 @@ DEFAULT_VERTEX_CAP = 200_000
 
 def round_half_away(q: Fraction) -> int:
     """Round to the nearest integer, ties away from zero."""
-    q = Fraction(q)
-    floor = q.numerator // q.denominator
-    frac = q - floor
-    if frac > Fraction(1, 2):
-        return floor + 1
-    if frac < Fraction(1, 2):
-        return floor
-    return floor + 1 if q > 0 else floor
+    n = int(abs(Fraction(q)) + Fraction(1, 2))
+    return n if q >= 0 else -n
 
 
 class BlowupVertex(NamedTuple):
@@ -195,20 +189,33 @@ def minimalize_cover(graph: Graph, cover: Iterable) -> tuple:
     return result
 
 
+Run = tuple[GadgetVertex, int, GadgetVertex, int, int]
+
+
 @dataclass(frozen=True)
 class CopyMatching:
-    """Matching over blowup copies, with the projection to base edges."""
+    """Matching over blowup copies as runs: (u, cu, v, cv, count) stands for
+    the pairs (u, cu + t) - (v, cv + t) for t < count.  Runs are sorted by
+    the blowup index of their first end, and the ends' copy intervals are
+    disjoint, so ``pairs`` comes out sorted by the blowup indices of its ends.
+    """
 
-    pairs: tuple[tuple[BlowupVertex, BlowupVertex], ...]
+    runs: tuple[Run, ...]
+
+    @property
+    def pairs(self) -> tuple[tuple[BlowupVertex, BlowupVertex], ...]:
+        return tuple(
+            (BlowupVertex(u, cu + t), BlowupVertex(v, cv + t)) for u, cu, v, cv, n in self.runs for t in range(n)
+        )
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return sum(run[4] for run in self.runs)
 
     def matched_vertices(self) -> set[BlowupVertex]:
         out: set[BlowupVertex] = set()
-        for u, v in self.pairs:
-            out.add(u)
-            out.add(v)
+        for u, cu, v, cv, count in self.runs:
+            out.update(BlowupVertex(u, c) for c in range(cu, cu + count))
+            out.update(BlowupVertex(v, c) for c in range(cv, cv + count))
         return out
 
 
@@ -223,40 +230,35 @@ def discretize_matching(fm: FractionalMatching, blowup: BlowupGraph) -> CopyMatc
     empty-set arcs through it, which is 2 * (n_|u| - n_partner) copy pairs
     per arc.  Every arc used must carry fractional support, read as the
     integer value over the matching's common denominator.  Copy indices are
-    handed out sequentially per vertex, in plan order, and the pairs are
-    sorted by the blowup indices of their ends, so the output is
-    deterministic.  The matched set ends up being exactly the copies of the
-    base vertices outside the gadget's planted independent set, which is
-    built and verified once per gadget.
+    handed out sequentially per vertex, in plan order, so each arc's pairs
+    form one run, and the runs are sorted by the blowup index of their first
+    end, so the output is deterministic.  The matched set ends up being
+    exactly the copies of the base vertices outside the gadget's planted
+    independent set, which is built and verified once per gadget.
     """
     gadget = blowup.gadget
     if fm.gadget is not gadget:
         raise ValueError("fractional matching and blowup are over different gadgets")
+    offsets = blowup._offsets
     cursors: dict[GadgetVertex, int] = {}
-    indexed: list[tuple[int, int, BlowupVertex, BlowupVertex]] = []
-
-    def take(u: GadgetVertex, v: GadgetVertex, count: int) -> None:
-        if count < 0:
-            raise AssertionError("copy counts are not monotone in the weight")
-        if count == 0:
-            return
-        if fm.units(u, v) <= 0:
-            raise AssertionError(f"discretization uses edge ({u}, {v}) without fractional support")
-        cu, cv = cursors.get(u, 0), cursors.get(v, 0)
-        if cu + count > blowup.copy_count(u) or cv + count > blowup.copy_count(v):
-            raise AssertionError(f"copy budget overrun on edge ({u}, {v})")
-        iu, iv = blowup.index(BlowupVertex(u, cu)), blowup.index(BlowupVertex(v, cv))
-        if iu > iv:  # the t-th pair shifts both indices by t, so this holds for all
-            u, cu, iu, v, cv, iv = v, cv, iv, u, cu, iu
-        for t in range(count):
-            indexed.append((iu + t, iv + t, BlowupVertex(u, cu + t), BlowupVertex(v, cv + t)))
-        cursors[u] = cu + count
-        cursors[v] = cv + count
-
+    indexed: list[tuple[int, Run]] = []
     plan = stage_plan(gadget)
     for stage in (1, 2, 3):
         for (u, v), count in plan.amounts(stage, blowup.copies_by_size):
-            take(u, v, count)
+            if count < 0:
+                raise AssertionError("copy counts are not monotone in the weight")
+            if count == 0:
+                continue
+            if fm.units(u, v) <= 0:
+                raise AssertionError(f"discretization uses edge ({u}, {v}) without fractional support")
+            cu, cv = cursors.get(u, 0), cursors.get(v, 0)
+            if cu + count > blowup.copy_count(u) or cv + count > blowup.copy_count(v):
+                raise AssertionError(f"copy budget overrun on edge ({u}, {v})")
+            cursors[u] = cu + count
+            cursors[v] = cv + count
+            iu, iv = offsets[u] + cu, offsets[v] + cv
+            # the t-th pair shifts both indices by t, so the lower end stays first
+            indexed.append((iu, (u, cu, v, cv, count)) if iu < iv else (iv, (v, cv, u, cu, count)))
 
     is_members = set(planted_independent_set(gadget).vertices)
     is_copies = 0
@@ -268,57 +270,61 @@ def discretize_matching(fm: FractionalMatching, blowup: BlowupGraph) -> CopyMatc
             raise AssertionError(
                 f"vertex {v} matched {cursors.get(v, 0)} of {blowup.copy_count(v)} copies, expected {expected}"
             )
-    if 2 * len(indexed) != blowup.n_vertices - is_copies:
+    matching = CopyMatching(tuple(run for _, run in sorted(indexed)))
+    if 2 * len(matching) != blowup.n_vertices - is_copies:
         raise AssertionError("matched copy count does not complement the planted copies")
-    indexed.sort()
-    return CopyMatching(tuple((a, b) for _, _, a, b in indexed))
+    return matching
 
 
 def blowup_maximality_check(blowup: BlowupGraph, matching: CopyMatching | Iterable) -> CheckResult:
     """Maximality check that projects the unmatched copies onto base vertices.
 
-    The pairs must form a matching of the blowup: every end is a copy of the
-    blowup, with its index below its base's copy count, every copy is used
-    at most once, and every pair's base pair is a base edge, which is tested
-    once per distinct base pair, since all copies of two base vertices are
-    joined or none are.  A blowup edge joins copies of base-adjacent
-    vertices, so the matching is maximal exactly when no two base vertices
-    with unmatched copies are adjacent in the base (copies of one vertex
-    are never adjacent).  The gadget's ``edge_within`` answers that for the
-    whole deficient set at once, so no pairs are scanned, while the verdict
-    remains one about the blowup graph itself.
+    A plain list of copy pairs is read as runs of one pair each.  The runs
+    must form a matching of the blowup: each has a positive count and copy
+    ranges below its bases' copy counts, each base pair is a base edge,
+    tested once per distinct pair since all copies of two base vertices are
+    joined or none are, and the runs' copy intervals of one base are
+    disjoint.  A blowup edge joins copies of base-adjacent vertices, so the
+    matching is maximal exactly when no two base vertices with unmatched
+    copies are adjacent in the base (copies of one vertex never are).  The
+    gadget's ``edge_within`` answers that for the whole deficient set at
+    once, so no pairs are scanned, while the verdict remains one about the
+    blowup graph itself.
     """
-    pairs = matching.pairs if isinstance(matching, CopyMatching) else matching
+    if isinstance(matching, CopyMatching):
+        runs = matching.runs
+    else:
+        runs = tuple((ub, uc, vb, vc, 1) for (ub, uc), (vb, vc) in matching)
+
+    def at(i: int) -> str:
+        u, cu, v, cv, _ = runs[i]
+        return f"at {(BlowupVertex(u, cu), BlowupVertex(v, cv))!r}"
+
     copies = {w: blowup.copy_count(w) for w in blowup.base_vertices()}
-    offsets = blowup._offsets
-    # per distinct base pair: [pairs on it, copies of its first end, of its
-    # second, blowup index of its first end's copy 0, of its second's]
-    per_base_pair: dict[tuple[GadgetVertex, GadgetVertex], list[int]] = {}
-    used: set[int] = set()  # blowup indices of the matched copies
-    for u, v in pairs:
-        ub, uc = u
-        vb, vc = v
-        entry = per_base_pair.get((ub, vb))
-        if entry is None:
-            cu, cv = copies.get(ub, 0), copies.get(vb, 0)
-            # a base without copies is left to the range check below
-            if cu and cv and not blowup.has_edge(u, v):
-                raise ValueError(f"not a matching: edge not in graph at {(u, v)!r}")
-            entry = per_base_pair[ub, vb] = [0, cu, cv, offsets.get(ub, 0), offsets.get(vb, 0)]
-        _, cu, cv, first_u, first_v = entry
-        if not (0 <= uc < cu and 0 <= vc < cv):
-            raise ValueError(f"not a matching: vertex not in graph at {(u, v)!r}")
-        i, j = first_u + uc, first_v + vc
-        if i in used or j in used:
-            raise ValueError(f"not a matching: vertex matched twice at {(u, v)!r}")
-        used.add(i)
-        used.add(j)
-        entry[0] += 1
-    matched_per_base: dict[GadgetVertex, int] = {}
-    for bases, (count, *_) in per_base_pair.items():
-        for w in bases:
-            matched_per_base[w] = matched_per_base.get(w, 0) + count
-    deficient = [w for w, n in copies.items() if matched_per_base.get(w, 0) < n]
+    tested: set[tuple[GadgetVertex, GadgetVertex]] = set()
+    # per base: (first copy, count, run number) of every run through it
+    intervals: dict[GadgetVertex, list[tuple[int, int, int]]] = {}
+    for i, (u, cu, v, cv, count) in enumerate(runs):
+        if count <= 0:
+            raise ValueError(f"not a matching: run of {count} copy pairs {at(i)}")
+        if not (0 <= cu and cu + count <= copies.get(u, 0) and 0 <= cv and cv + count <= copies.get(v, 0)):
+            raise ValueError(f"not a matching: vertex not in graph {at(i)}")
+        if (u, v) not in tested:
+            if not blowup.gadget.has_edge(u, v):
+                raise ValueError(f"not a matching: edge not in graph {at(i)}")
+            tested.add((u, v))
+        intervals.setdefault(u, []).append((cu, count, i))
+        intervals.setdefault(v, []).append((cv, count, i))
+    deficient = []
+    for w, n in copies.items():
+        matched = end = 0
+        for first, count, i in sorted(intervals.get(w, ())):
+            if first < end:
+                raise ValueError(f"not a matching: vertex matched twice {at(i)}")
+            end = first + count
+            matched += count
+        if matched < n:
+            deficient.append(w)
     edge = blowup.gadget.edge_within(deficient)
     if edge is not None:
         return CheckResult(False, edge, "base-adjacent vertices both have unmatched copies")

@@ -20,7 +20,8 @@ from .serialize import (
     SchemaError,
     bipartite_to_payload,
     canonical_json,
-    fracmatch_to_payload,
+    dumps,
+    fracmatch_csv_rows,
     from_payload,
     gadget_from_payload,
     gadget_to_payload,
@@ -28,7 +29,6 @@ from .serialize import (
     instance_from_payload,
     instance_to_payload,
     rows_to_csv,
-    to_payload,
 )
 from .ulc import TOPOLOGIES, generate_yes
 
@@ -139,13 +139,9 @@ def _cmd_fracmatch(args) -> int:
               file=sys.stderr)
         return 1
     if args.format == "json":
-        _write_text(args.out, canonical_json(fracmatch_to_payload(fm)))
+        _write_text(args.out, dumps(fm))
     elif args.format == "csv":
-        rows = [
-            {"u": u.label(), "v": v.label(), "value": str(value)}
-            for u, v, value in fm.support()
-        ]
-        _write_text(args.out, rows_to_csv(("u", "v", "value"), rows))
+        _write_text(args.out, rows_to_csv(("u", "v", "value"), fracmatch_csv_rows(fm)))
     else:
         raise ValueError(f"fracmatch cannot emit {args.format}")
     return 0
@@ -160,7 +156,7 @@ def _cmd_blowup(args) -> int:
         _dot_guard(blowup)
         _write_text(args.out, graph_to_dot(blowup, name="blowup"))
     elif args.format == "json":
-        _write_text(args.out, canonical_json(to_payload(blowup)))
+        _write_text(args.out, dumps(blowup))
     else:
         raise ValueError(f"blowup cannot emit {args.format}")
     return 0
@@ -285,7 +281,7 @@ def _cmd_export(args) -> int:
     payload = _load_payload(args.input)
     obj = from_payload(payload)
     if args.format == "json":
-        _write_text(args.out, canonical_json(to_payload(obj)))
+        _write_text(args.out, dumps(obj))
         return 0
     if args.format == "dot":
         if isinstance(obj, tuple):
@@ -298,11 +294,7 @@ def _cmd_export(args) -> int:
 
         if not isinstance(obj, FractionalMatching):
             raise ValueError("CSV export is defined for fractional matchings only")
-        rows = [
-            {"u": u.label(), "v": v.label(), "value": str(value)}
-            for u, v, value in obj.support()
-        ]
-        _write_text(args.out, rows_to_csv(("u", "v", "value"), rows))
+        _write_text(args.out, rows_to_csv(("u", "v", "value"), fracmatch_csv_rows(obj)))
         return 0
     raise ValueError(f"unknown format {args.format!r}")
 

@@ -93,12 +93,16 @@ class FractionalMatching:
     def load(self, v: GadgetVertex) -> Fraction:
         return Fraction(self._loads.get(v, 0), self.denominator)
 
+    def unit_support(self) -> list[tuple[tuple[GadgetVertex, GadgetVertex], int]]:
+        """Positive-value edges with their units, sorted by index pairs."""
+        return sorted(self._values.items())
+
     def support(self) -> list[tuple[GadgetVertex, GadgetVertex, Fraction]]:
         """Positive-value edges sorted by index pairs."""
-        # vertices order like their indices; few distinct values recur
+        # few distinct values recur
         fractions: dict[int, Fraction] = {}
         items = []
-        for (u, v), units in sorted(self._values.items()):
+        for (u, v), units in self.unit_support():
             value = fractions.get(units)
             if value is None:
                 value = fractions[units] = Fraction(units, self.denominator)

@@ -383,11 +383,7 @@ def _lemma_total_vc(p) -> list[Check]:
     instance, gadget = _instance_and_gadget(p)
     blowup = blow_up(gadget, _frac(p["rho"]))
     fm = build_full(gadget)
-    matching = discretize_matching(fm, blowup)
-    matched = set()
-    for u, v in matching.pairs:
-        matched.add(u)
-        matched.add(v)
+    matched = discretize_matching(fm, blowup).matched_vertices()
     verdict = total_vertex_cover_check(blowup, matched)
     checks = [
         Check(

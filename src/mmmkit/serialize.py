@@ -328,16 +328,40 @@ def matching_from_payload(payload, path: str = "$") -> tuple:
     return tuple(pairs)
 
 
-def fracmatch_to_payload(fm: FractionalMatching) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "fractional_matching",
-        "gadget": gadget_to_payload(fm.gadget),
-        "edges": [
-            [encode_vertex(u), encode_vertex(v), frac_str(value)]
-            for u, v, value in fm.support()
-        ],
-    }
+def _support_text(fm: FractionalMatching) -> list[tuple[int, str, int, str, str]]:
+    """The support as (x, colours, y, colours, value) rows of text pieces,
+    from one table of comma-joined colours per subset mask and one string
+    per distinct value."""
+    colours = [""]
+    for s in range(1, fm.gadget.cloud_size):
+        high = s.bit_length() - 1
+        colours.append(f"{colours[s ^ 1 << high]},{high}" if s & s - 1 else str(high))
+    values: dict[int, str] = {}
+    rows = []
+    for ((x, s), (y, t)), units in fm.unit_support():
+        if units not in values:
+            values[units] = frac_str(Fraction(units, fm.denominator))
+        rows.append((x, colours[s], y, colours[t], values[units]))
+    return rows
+
+
+def fracmatch_to_json(fm: FractionalMatching) -> str:
+    """The canonical JSON of a fractional matching, written straight from its
+    values: the bytes ``canonical_json`` gives for ``edges`` rows [u, v,
+    value] in support order, ends encoded as by ``encode_vertex``."""
+    edges = ",".join(
+        f'[{{"colors":[{c}],"variable":{x}}},{{"colors":[{d}],"variable":{y}}},"{value}"]'
+        for x, c, y, d, value in _support_text(fm)
+    )
+    gadget = canonical_json(gadget_to_payload(fm.gadget))
+    return f'{{"edges":[{edges}],"gadget":{gadget},"kind":"fractional_matching","schema":"{SCHEMA}"}}'
+
+
+def fracmatch_csv_rows(fm: FractionalMatching) -> list[dict]:
+    """The support as ``rows_to_csv`` rows of vertex labels and value."""
+    return [
+        {"u": f"({x},{{{c}}})", "v": f"({y},{{{d}}})", "value": value} for x, c, y, d, value in _support_text(fm)
+    ]
 
 
 def fracmatch_from_payload(payload, path: str = "$") -> FractionalMatching:
@@ -346,6 +370,7 @@ def fracmatch_from_payload(payload, path: str = "$") -> FractionalMatching:
     _expect_kind(payload, "fractional_matching", path)
     gadget = gadget_from_payload(_expect(payload, "gadget", path), f"{path}.gadget")
     fm = FractionalMatching(gadget)
+    seen: set[tuple[GadgetVertex, GadgetVertex]] = set()
     for i, row in enumerate(_expect_list(payload, "edges", path)):
         where = f"{path}.edges[{i}]"
         if not (isinstance(row, list) and len(row) == 3):
@@ -354,6 +379,10 @@ def fracmatch_from_payload(payload, path: str = "$") -> FractionalMatching:
         for k, v in enumerate(ends):
             if not (isinstance(v, GadgetVertex) and _is_int(v.variable) and v in gadget):
                 raise SchemaError(f"{row[k]!r} is not a vertex of the gadget", f"{where}[{k}]")
+        key = (min(ends), max(ends))
+        if key in seen:
+            raise SchemaError(f"duplicate edge {row[0]!r} ~ {row[1]!r}", where)
+        seen.add(key)
         fm.add(ends[0], ends[1], parse_fraction(row[2], f"{where}[2]"))
     return fm
 
@@ -373,14 +402,13 @@ _DECODERS = {
 
 
 def to_payload(obj) -> dict:
+    """The payload of any object but a fractional matching (``dumps`` writes those)."""
     from .blowup import BlowupGraph
-    from .fracmatch import FractionalMatching
 
     for cls, encoder in (
         (UlcInstance, instance_to_payload),
         (GadgetGraph, gadget_to_payload),
         (BlowupGraph, blowup_to_payload),
-        (FractionalMatching, fracmatch_to_payload),
         (Graph, graph_to_payload),
         (Bipartite, bipartite_to_payload),
     ):
@@ -409,7 +437,9 @@ def loads(text: str):
 
 
 def dumps(obj) -> str:
-    return canonical_json(to_payload(obj))
+    from .fracmatch import FractionalMatching
+
+    return fracmatch_to_json(obj) if isinstance(obj, FractionalMatching) else canonical_json(to_payload(obj))
 
 
 # -- DOT and CSV -----------------------------------------------------------

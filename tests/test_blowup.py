@@ -4,6 +4,7 @@ import pytest
 
 from mmmkit.blowup import (
     BlowupVertex,
+    CopyMatching,
     blow_up,
     blowup_maximality_check,
     discretize_matching,
@@ -13,8 +14,8 @@ from mmmkit.blowup import (
     round_half_away,
     total_vertex_cover_check,
 )
-from mmmkit.fracmatch import build_full
-from mmmkit.gadget import GadgetVertex, build_gadget, planted_independent_set
+from mmmkit.fracmatch import build_complement_pairing, build_full, build_layer_cycles, combine
+from mmmkit.gadget import GadgetVertex, build_gadget, planted_independent_set, stage_plan
 from mmmkit.graphs import Graph, verify_vertex_cover
 from mmmkit.solvers import exact_min_vertex_cover
 from mmmkit.ulc import Planted, generate_yes, new_instance
@@ -261,3 +262,100 @@ def test_blowup_maximality_check_rejects_copies_out_of_range(small):
     w = next(w for w in blowup.base_vertices() if gadget.has_edge(dropped, w))
     with pytest.raises(ValueError, match="vertex not in graph"):
         blowup_maximality_check(blowup, [(BlowupVertex(w, 0), BlowupVertex(dropped, 0))])
+
+
+def per_copy_discretization(fm, blowup):
+    """Reference: the stage plan's arcs handed out one copy pair at a time,
+    each pair sorted by the blowup indices of its ends."""
+    cursors = {}
+    indexed = []
+    for stage in (1, 2, 3):
+        for (u, v), count in stage_plan(blowup.gadget).amounts(stage, blowup.copies_by_size):
+            assert count >= 0
+            if count == 0:
+                continue
+            assert fm.units(u, v) > 0
+            cu, cv = cursors.get(u, 0), cursors.get(v, 0)
+            assert cu + count <= blowup.copy_count(u) and cv + count <= blowup.copy_count(v)
+            for t in range(count):
+                a, b = BlowupVertex(u, cu + t), BlowupVertex(v, cv + t)
+                indexed.append(tuple(sorted([(blowup.index(a), a), (blowup.index(b), b)])))
+            cursors[u] = cu + count
+            cursors[v] = cv + count
+    return tuple((a, b) for (_, a), (_, b) in sorted(indexed))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("eps", [F(1, 4), F(1, 8)])
+@pytest.mark.parametrize("xi", [F(0), F(1, 4)])
+def test_runs_expand_to_the_per_copy_discretization(m, eps, xi):
+    gadget = build_gadget(generate_yes(4, m, xi=xi, topology="cycle", seed=m), eps)
+    fm = build_full(gadget)
+    for rho in (F(1), F(1, 2), F(1, 4)):
+        blowup = blow_up(gadget, rho)
+        cm = discretize_matching(fm, blowup)
+        pairs = per_copy_discretization(fm, blowup)
+        assert cm.pairs == pairs
+        assert len(cm) == len(pairs)
+        assert cm.matched_vertices() == {w for pair in pairs for w in pair}
+        assert blowup_maximality_check(blowup, cm)
+        assert blowup_maximality_check(blowup, pairs)
+
+
+def test_discretize_matching_rejects_an_arc_without_fractional_support():
+    gadget = build_gadget(generate_yes(3, 2, xi=0, seed=0), F(1, 4))
+    # the empty-set arcs join clouds, and only stage three puts weight there
+    partial = combine(build_complement_pairing(gadget), build_layer_cycles(gadget))
+    with pytest.raises(AssertionError, match="without fractional support"):
+        discretize_matching(partial, blow_up(gadget, F(1)))
+
+
+@pytest.fixture(scope="module")
+def runs_blowup():
+    """A blowup with base vertices a ~ b, a ~ c and a non-edge a, d, each
+    with at least four copies, and its discretized matching."""
+    gadget = build_gadget(generate_yes(3, 2, xi=0, seed=0), F(1, 4))
+    blowup = blow_up(gadget, F(1, 2))
+    bases = [v for v in blowup.base_vertices() if blowup.copy_count(v) >= 4]
+    a, d = next((a, d) for a in bases for d in bases if a != d and not gadget.has_edge(a, d))
+    b, c = [w for w in bases if gadget.has_edge(a, w)][:2]
+    return blowup, (a, b, c, d), discretize_matching(build_full(gadget), blowup)
+
+
+def test_check_accepts_disjoint_runs_on_one_base(runs_blowup):
+    blowup, (a, b, c, _), _ = runs_blowup
+    report = blowup_maximality_check(blowup, CopyMatching(((a, 0, b, 0, 2), (a, 2, c, 1, 2))))
+    assert not report  # a valid matching, far from maximal
+    assert report.reason == "base-adjacent vertices both have unmatched copies"
+
+
+@pytest.mark.parametrize(
+    "runs, message",
+    [
+        # a's copy 1 is in both runs
+        (lambda a, b, c, d, n: ((a, 0, b, 0, 2), (a, 1, c, 0, 2)), "vertex matched twice"),
+        # b's copy 0 is reused by a unit run
+        (lambda a, b, c, d, n: ((a, 0, b, 0, 1), (c, 0, b, 0, 1)), "vertex matched twice"),
+        (lambda a, b, c, d, n: ((a, 0, b, 0, 0),), "run of 0 copy pairs"),
+        (lambda a, b, c, d, n: ((a, 2, b, 2, -1),), "run of -1 copy pairs"),
+        (lambda a, b, c, d, n: ((a, n[a] - 1, b, 0, 2),), "vertex not in graph"),
+        (lambda a, b, c, d, n: ((a, 0, b, 0, n[b] + 1),), "vertex not in graph"),
+        (lambda a, b, c, d, n: ((a, -1, b, 0, 1),), "vertex not in graph"),
+        (lambda a, b, c, d, n: ((a, 0, d, 0, 1),), "edge not in graph"),
+    ],
+    ids=["overlap", "reused-copy", "count-0", "count-negative", "past-first", "past-second", "copy-negative", "non-edge"],
+)
+def test_check_rejects_bad_runs(runs_blowup, runs, message):
+    blowup, bases, _ = runs_blowup
+    built = runs(*bases, {v: blowup.copy_count(v) for v in bases})
+    with pytest.raises(ValueError, match=message):
+        blowup_maximality_check(blowup, CopyMatching(built))
+
+
+def test_check_rejects_a_discretized_matching_with_a_run_reused(runs_blowup):
+    blowup, _, cm = runs_blowup
+    assert blowup_maximality_check(blowup, cm)
+    first = cm.runs[0]
+    shifted = (*first[:4], first[4] - 1)  # the same ends, one pair shorter
+    with pytest.raises(ValueError, match="vertex matched twice"):
+        blowup_maximality_check(blowup, CopyMatching(cm.runs + (shifted,)))

@@ -1,10 +1,13 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from mmmkit.bipartite import BipVertex, bipartise, random_planted_biclique
 from mmmkit.blowup import BlowupVertex, blow_up
-from mmmkit.fracmatch import build_full
+from mmmkit.cli import main
+from mmmkit.fracmatch import FractionalMatching, build_full
 from mmmkit.gadget import GadgetVertex, build_gadget, yes_matching
 from mmmkit.graphs import Graph, random_graph
 from mmmkit.serialize import (
@@ -15,7 +18,10 @@ from mmmkit.serialize import (
     dumps,
     encode_vertex,
     frac_str,
+    fracmatch_csv_rows,
+    fracmatch_to_json,
     from_payload,
+    gadget_to_payload,
     graph_to_dot,
     loads,
     matching_from_payload,
@@ -198,3 +204,115 @@ def test_graph_to_dot_on_doubling():
 def test_rows_to_csv():
     text = rows_to_csv(["a", "b"], [{"a": 1, "b": "x"}, {"a": 2, "b": "y,z"}])
     assert text == 'a,b\n1,x\n2,"y,z"\n'
+
+
+def reference_fracmatch_json(fm):
+    """Reference: the fractional matching as a payload dict of encoded rows."""
+    return canonical_json(
+        {
+            "schema": SCHEMA,
+            "kind": "fractional_matching",
+            "gadget": gadget_to_payload(fm.gadget),
+            "edges": [[encode_vertex(u), encode_vertex(v), frac_str(value)] for u, v, value in fm.support()],
+        }
+    )
+
+
+def reference_fracmatch_csv(fm):
+    rows = [{"u": u.label(), "v": v.label(), "value": str(value)} for u, v, value in fm.support()]
+    return rows_to_csv(("u", "v", "value"), rows)
+
+
+def _assert_writers_match_references(fm):
+    text = fracmatch_to_json(fm)
+    assert text == reference_fracmatch_json(fm)
+    assert dumps(fm) == text
+    assert rows_to_csv(("u", "v", "value"), fracmatch_csv_rows(fm)) == reference_fracmatch_csv(fm)
+    again = loads(text)
+    assert again.support() == fm.support()
+    assert dumps(again) == text
+
+
+def test_fracmatch_writer_on_an_empty_matching():
+    fm = FractionalMatching(build_gadget(generate_yes(3, 2, seed=0), F(1, 4)))
+    _assert_writers_match_references(fm)
+    assert fracmatch_to_json(fm).startswith('{"edges":[],"gadget":')
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_fracmatch_writer_matches_the_reference_encoder(m):
+    gadget = build_gadget(generate_yes(4, m, xi=F(1, 2), seed=m), F(1, 8))
+    _assert_writers_match_references(build_full(gadget))
+
+
+def test_fracmatch_writer_after_a_rescale():
+    gadget = build_gadget(generate_yes(4, 3, xi=F(1, 4), seed=2), F(1, 8))
+    fm = build_full(gadget)
+    denominator = fm.denominator
+    fm.add(GadgetVertex(0, 0b001), GadgetVertex(0, 0b110), F(1, 3))
+    assert fm.denominator == 3 * denominator
+    _assert_writers_match_references(fm)
+
+
+# sha256 of CLI output for `gen-ulc --num-vars 4 --num-colors M --xi 1/2
+# --seed 3` and `build-gadget --epsilon 1/8`, recorded before the direct
+# writer replaced the payload dicts
+CLI_FRACMATCH_SHA256 = {
+    (4, "json"): "e38fc8b630f0e62fb0c56e121390a7d313d05336edab6a14e411cd392cd8696f",
+    (8, "json"): "beb207bcf7e44a99d769ce3fb754284359385945f6012828115b5f8f9dfedffc",
+    (10, "csv"): "67b8aa237b5f33167c1d2295cc81863c55f177fd1a144baaa18c9812a35f18ed",
+}
+
+
+def _cli_gadget(tmp_path, m):
+    inst, gadget = tmp_path / "inst.json", tmp_path / "gadget.json"
+    argv = ["gen-ulc", "--num-vars", "4", "--num-colors", str(m), "--xi", "1/2", "--seed", "3"]
+    assert main([*argv, "--out", str(inst)]) == 0
+    assert main(["build-gadget", "--in", str(inst), "--epsilon", "1/8", "--out", str(gadget)]) == 0
+    return gadget
+
+
+@pytest.mark.parametrize("m, fmt", sorted(CLI_FRACMATCH_SHA256))
+def test_cli_fracmatch_bytes_are_pinned(tmp_path, m, fmt):
+    out, exported = tmp_path / f"fm.{fmt}", tmp_path / f"exported.{fmt}"
+    assert main(["fracmatch", "--in", str(_cli_gadget(tmp_path, m)), "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_FRACMATCH_SHA256[m, fmt]
+    source = out
+    if fmt == "csv":
+        source = tmp_path / "fm.json"
+        assert main(["fracmatch", "--in", str(tmp_path / "gadget.json"), "--out", str(source)]) == 0
+    assert main(["export", "--in", str(source), "--format", fmt, "--out", str(exported)]) == 0
+    assert exported.read_bytes() == out.read_bytes()
+
+
+def _with_repeated_row(text, reverse):
+    payload = json.loads(text)
+    u, v, value = payload["edges"][0]
+    payload["edges"].append([v, u, value] if reverse else [u, v, value])
+    return payload
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_loads_rejects_a_repeated_fracmatch_row(reverse):
+    fm = build_full(build_gadget(generate_yes(3, 2, xi=F(1, 4), seed=0), F(1, 4)))
+    payload = _with_repeated_row(dumps(fm), reverse)
+    where = f"$.edges[{len(payload['edges']) - 1}]"
+    with pytest.raises(SchemaError, match="duplicate edge") as err:
+        loads(canonical_json(payload))
+    assert err.value.path == where
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_cli_export_rejects_a_repeated_fracmatch_row(tmp_path, capsys, reverse):
+    fm = tmp_path / "fm.json"
+    assert main(["fracmatch", "--in", str(_cli_gadget(tmp_path, 2)), "--out", str(fm)]) == 0
+    payload = _with_repeated_row(fm.read_text(), reverse)
+    edited = tmp_path / "edited.json"
+    edited.write_text(canonical_json(payload))
+    capsys.readouterr()
+    assert main(["export", "--in", str(edited)]) == 2
+    assert main(["export", "--in", str(edited), "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duplicate edge" in captured.err and f"(at $.edges[{len(payload['edges']) - 1}])" in captured.err
+    assert "Traceback" not in captured.err
