@@ -69,77 +69,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BipVertex",
-    "Bipartisation",
-    "Bipartite",
-    "BlowupGraph",
-    "BlowupVertex",
-    "Check",
-    "CheckResult",
-    "CopyMatching",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FractionalMatching",
-    "GadgetGraph",
-    "GadgetVertex",
-    "Graph",
-    "LEMMAS",
-    "LemmaReport",
-    "Planted",
-    "PlantedIndependentSet",
-    "PathCycleDecomposition",
-    "SaturationReport",
-    "SolveResult",
-    "SsehGadget",
-    "TLabelling",
-    "UlcInstance",
-    "anti_biclique_bound",
-    "biased_weight",
-    "bipartise",
-    "blow_up",
-    "blowup_maximality_check",
-    "bracket_partner",
-    "build_complement_pairing",
-    "build_empty_set_cycles",
-    "build_full",
-    "build_gadget",
-    "build_layer_cycles",
-    "check_labelling",
-    "check_t_labelling",
-    "combine",
-    "cover_from_decomposition",
-    "cycle_cover",
-    "decompose",
-    "discretize_matching",
-    "double_matching",
-    "enumerate_maximal_matchings",
-    "exact_mbb",
-    "exact_min_total_vertex_cover",
-    "exact_min_vertex_cover",
-    "exact_mmm",
-    "generate_yes",
-    "greedy_maximal_matching",
-    "is_product_cover",
-    "lemma_ids",
-    "matched_vertices",
-    "minimalize_cover",
-    "new_instance",
-    "planted_independent_set",
-    "product_cover",
-    "random_graph",
-    "random_planted_biclique",
-    "round_half_away",
-    "run_experiment",
-    "sseh_gadget",
-    "sseh_yes_matching",
-    "stage_plan",
-    "total_vertex_cover_check",
-    "validate",
-    "verify_lemma",
-    "verify_matching",
-    "verify_maximal_matching",
-    "verify_vertex_cover",
-    "yes_matching",
-]
+__all__ = ["__version__", *_HOMES]

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .graphs import Bipartite, Graph, verify_matching, verify_vertex_cover
 
 SIDES = ("l", "r")
+MAX_GRAPH_VERTICES = 10_000  # the largest doubling ``to_graph`` materializes
 
 
 class BipVertex(NamedTuple):
@@ -75,9 +76,9 @@ class Bipartisation:
             yield (BipVertex("l", u), BipVertex("r", v))
             yield (BipVertex("l", v), BipVertex("r", u))
 
-    def to_graph(self, cap: int = 10_000) -> Graph:
-        if self.n_vertices > cap:
-            raise ValueError(f"refusing to materialize {self.n_vertices} vertices (cap {cap})")
+    def to_graph(self) -> Graph:
+        if self.n_vertices > MAX_GRAPH_VERTICES:
+            raise ValueError(f"refusing to materialize {self.n_vertices} vertices (cap {MAX_GRAPH_VERTICES})")
         g = Graph(vertices=self.vertices())
         for u, v in self.edges():
             g.add_edge(u, v)

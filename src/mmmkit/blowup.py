@@ -18,7 +18,8 @@ from .fracmatch import FractionalMatching
 from .gadget import GadgetGraph, GadgetVertex, planted_independent_set, stage_plan
 from .graphs import CheckResult, Graph, verify_vertex_cover
 
-DEFAULT_VERTEX_CAP = 200_000
+MAX_BLOWUP_VERTICES = 200_000
+MAX_GRAPH_VERTICES = 2_000  # the largest blowup ``to_graph`` materializes
 
 
 def round_half_away(q: Fraction) -> int:
@@ -43,7 +44,7 @@ class BlowupGraph:
     base, so edges are enumerated lazily.
     """
 
-    def __init__(self, gadget: GadgetGraph, rho: Fraction, cap: int = DEFAULT_VERTEX_CAP) -> None:
+    def __init__(self, gadget: GadgetGraph, rho: Fraction) -> None:
         rho = Fraction(rho)
         if rho <= 0:
             raise ValueError("rho must be positive")
@@ -56,8 +57,8 @@ class BlowupGraph:
         self.copies_by_size = tuple(4 * n for n in self.n_v_by_size)
         per_cloud = sum(self.copies_by_size[s.bit_count()] for s in range(gadget.cloud_size))
         total = per_cloud * gadget.num_vars
-        if total > cap:
-            raise ValueError(f"blowup would have {total} vertices, exceeding the cap {cap}")
+        if total > MAX_BLOWUP_VERTICES:
+            raise ValueError(f"blowup would have {total} vertices, exceeding the cap {MAX_BLOWUP_VERTICES}")
         self.n_vertices = total
         self._actives: list[GadgetVertex] = [
             v for v in gadget.vertices() if self.n_v_by_size[v.subset.bit_count()] > 0
@@ -111,17 +112,19 @@ class BlowupGraph:
                 for j in range(cv):
                     yield (BlowupVertex(u, i), BlowupVertex(v, j))
 
-    def to_graph(self, cap: int = 2_000) -> Graph:
-        if self.n_vertices > cap:
-            raise ValueError(f"refusing to materialize {self.n_vertices} blowup vertices (cap {cap})")
+    def to_graph(self) -> Graph:
+        if self.n_vertices > MAX_GRAPH_VERTICES:
+            raise ValueError(
+                f"refusing to materialize {self.n_vertices} blowup vertices (cap {MAX_GRAPH_VERTICES})"
+            )
         g = Graph(vertices=self.vertices())
         for u, v in self.edges():
             g.add_edge(u, v)
         return g
 
 
-def blow_up(gadget: GadgetGraph, rho: Fraction, cap: int = DEFAULT_VERTEX_CAP) -> BlowupGraph:
-    return BlowupGraph(gadget, rho, cap)
+def blow_up(gadget: GadgetGraph, rho: Fraction) -> BlowupGraph:
+    return BlowupGraph(gadget, rho)
 
 
 def product_cover(blowup: BlowupGraph, base_cover: Iterable[GadgetVertex]) -> tuple[BlowupVertex, ...]:

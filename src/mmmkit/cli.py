@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 
 DOT_CAP = 10_000
 SOLVE_BUDGET = 1_000_000  # `solve` search nodes unless --budget says otherwise
+SOLVE_KINDS = ("graph", "gadget_graph", "blowup_graph", "bipartite", "sseh_gadget")
 
 
 def _read_text(path: str) -> str:
@@ -210,6 +211,8 @@ def _cmd_solve(args) -> int:
 
     payload = _load_payload(args.input)
     obj = from_payload(payload)
+    if payload["kind"] not in SOLVE_KINDS:
+        raise ValueError(f"solve {args.problem} needs a graph payload, got {payload['kind']}")
     if args.problem == "mbb":
         if not isinstance(obj, Bipartite):
             raise ValueError("mbb needs a bipartite payload")
@@ -284,8 +287,6 @@ def _cmd_export(args) -> int:
         _write_text(args.out, dumps(obj))
         return 0
     if args.format == "dot":
-        if isinstance(obj, tuple):
-            raise ValueError("matchings have no DOT form")
         _dot_guard(obj)
         _write_text(args.out, graph_to_dot(obj))
         return 0

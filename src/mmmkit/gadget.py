@@ -20,6 +20,7 @@ from .ulc import MAX_COLORS, Planted, UlcInstance
 
 FLAVORS = ("base", "extended")
 EDGE_RULES = ("plus", "min")
+MAX_GRAPH_VERTICES = 200_000  # the largest gadget ``to_graph`` materializes
 
 
 class GadgetVertex(NamedTuple):
@@ -251,9 +252,9 @@ class GadgetGraph:
 
     # -- materialization ---------------------------------------------------
 
-    def to_graph(self, cap: int = 200_000) -> Graph:
-        if self.n_vertices > cap:
-            raise ValueError(f"gadget with {self.n_vertices} vertices exceeds the cap {cap}")
+    def to_graph(self) -> Graph:
+        if self.n_vertices > MAX_GRAPH_VERTICES:
+            raise ValueError(f"gadget with {self.n_vertices} vertices exceeds the cap {MAX_GRAPH_VERTICES}")
         g = Graph(vertices=self.vertices())
         for u, v in self.edges():
             g.add_edge(u, v)

@@ -305,29 +305,6 @@ def sseh_from_payload(payload, path: str = "$") -> Bipartite:
     return bipartite_from_payload(_expect(payload, "gadget", path), f"{path}.gadget")
 
 
-def matching_to_payload(matching: Iterable) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "matching",
-        "pairs": [[encode_vertex(u), encode_vertex(v)] for u, v in matching],
-    }
-
-
-def matching_from_payload(payload, path: str = "$") -> tuple:
-    _expect_kind(payload, "matching", path)
-    pairs = []
-    for i, pair in enumerate(_expect_list(payload, "pairs", path)):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise SchemaError("pair must have two endpoints", f"{path}.pairs[{i}]")
-        pairs.append(
-            (
-                decode_vertex(pair[0], f"{path}.pairs[{i}][0]"),
-                decode_vertex(pair[1], f"{path}.pairs[{i}][1]"),
-            )
-        )
-    return tuple(pairs)
-
-
 def _support_text(fm: FractionalMatching) -> list[tuple[int, str, int, str, str]]:
     """The support as (x, colours, y, colours, value) rows of text pieces,
     from one table of comma-joined colours per subset mask and one string
@@ -379,6 +356,8 @@ def fracmatch_from_payload(payload, path: str = "$") -> FractionalMatching:
         for k, v in enumerate(ends):
             if not (isinstance(v, GadgetVertex) and _is_int(v.variable) and v in gadget):
                 raise SchemaError(f"{row[k]!r} is not a vertex of the gadget", f"{where}[{k}]")
+        if ends[0] == ends[1]:
+            raise SchemaError(f"self-loop at {row[0]!r}", where)
         key = (min(ends), max(ends))
         if key in seen:
             raise SchemaError(f"duplicate edge {row[0]!r} ~ {row[1]!r}", where)
@@ -397,7 +376,6 @@ _DECODERS = {
     "graph": graph_from_payload,
     "bipartite": bipartite_from_payload,
     "sseh_gadget": sseh_from_payload,
-    "matching": matching_from_payload,
 }
 
 

@@ -1,9 +1,12 @@
 """Exact and greedy solvers used as oracles at desk scale.
 
 Everything here is deliberately independent of the gadget constructions:
-solvers see only a graph protocol (vertices, edges, neighbors, index) plus
-an optional edge or vertex weight callable, and they refuse inputs beyond
-the sizes they can settle exactly.
+solvers see only a graph protocol (vertices and edges) plus an optional
+edge or vertex weight callable.  Each exact solver reads the graph once as
+bitmasks (``_indexed``) and walks its search tree from an explicit stack,
+so no input is too deep to search.  Every branch and bound search stops at
+its ``node_limit``; only the total cover search, which has none, refuses
+graphs over ``MAX_TOTAL_COVER_VERTICES`` vertices.
 """
 
 from __future__ import annotations
@@ -12,13 +15,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterator
 
+from .bitsets import k_subset_masks
 from .graphs import Bipartite
 
-MAX_EXACT_VERTICES = 60
-MAX_BICLIQUE_SIDE = 20
 MAX_TOTAL_COVER_VERTICES = 16
 
 
@@ -53,14 +54,27 @@ def greedy_maximal_matching(graph, seed: int | None = None) -> tuple:
     return tuple(out)
 
 
-def _indexed_edges(graph):
+def _indexed(graph) -> tuple[tuple, list[tuple[int, int]], list[int]]:
+    """The graph as bitmasks: its vertices in graph order, its edges in graph
+    order as ascending index pairs, and one neighbour mask per vertex."""
     verts = tuple(graph.vertices())
     pos = {v: i for i, v in enumerate(verts)}
     edges = []
+    adj = [0] * len(verts)
     for u, v in graph.edges():
         i, j = pos[u], pos[v]
         edges.append((i, j) if i < j else (j, i))
-    return verts, edges
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return verts, edges, adj
+
+
+def _weight_classes(wts: list[int]) -> list[tuple[int, int]]:
+    """(weight, mask of the indices that carry it) pairs, lightest first."""
+    masks: dict[int, int] = {}
+    for i, w in enumerate(wts):
+        masks[w] = masks.get(w, 0) | 1 << i
+    return sorted(masks.items())
 
 
 def _integer_weights(weights) -> tuple[list[int], int]:
@@ -94,9 +108,7 @@ def exact_mmm(
     edge bitmasks with the weights scaled to integers over their common
     denominator, and a weighted call hands back a ``Fraction``.
     """
-    verts, edges = _indexed_edges(graph)
-    if len(verts) > MAX_EXACT_VERTICES:
-        raise ValueError(f"exact search capped at {MAX_EXACT_VERTICES} vertices, got {len(verts)}")
+    verts, edges, _ = _indexed(graph)
     if weight is None:
         wts, denom = [1] * len(edges), 1
     else:
@@ -107,10 +119,7 @@ def exact_mmm(
         at[j] |= 1 << eid
     kill = [at[i] | at[j] for i, j in edges]  # edges sharing an end with each edge
     keep = [~mask for mask in kill]
-    by_weight: dict[int, int] = {}
-    for eid, w in enumerate(wts):
-        by_weight[w] = by_weight.get(w, 0) | 1 << eid
-    classes = sorted(by_weight.items())  # weight classes, lightest first
+    classes = _weight_classes(wts)
 
     full = (1 << len(edges)) - 1
     best_chosen, rest = [], full
@@ -181,13 +190,8 @@ def enumerate_maximal_matchings(graph) -> Iterator[tuple]:
     neighbor order before the unmatched branch, and the pairs on the way to
     the current node are kept in one list that is cut back on each pop.
     """
-    verts, edges = _indexed_edges(graph)
-    n = len(verts)
-    adj = [0] * n
-    for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    full = (1 << n) - 1
+    verts, _, adj = _indexed(graph)
+    full = (1 << len(verts)) - 1
     path: list[tuple] = []  # the pairs chosen on the way to the current node
     # decided mask, unmatched mask, length of the parent's path, pair added or None
     stack = [(0, 0, 0, None)]
@@ -217,47 +221,38 @@ def exact_min_vertex_cover(
 ) -> SolveResult:
     """Minimum (weight) vertex cover via a maximum-weight independent set search.
 
-    Vertex weights must be positive ints or Fractions; like ``exact_mmm``
-    the search adds them as integers over their common denominator.  A
-    search that reaches ``node_limit`` stops with ``limit_reached`` and the
-    best cover found so far (at worst every vertex).
+    Takes the candidate of highest degree (lowest index on ties) into the set
+    before leaving it out, and cuts a node whose value plus the weight of all
+    its candidates cannot beat the best set.  Vertex weights must be positive
+    ints or Fractions; like ``exact_mmm`` the search adds them as integers
+    over their common denominator.  A search that reaches ``node_limit``
+    stops with ``limit_reached`` and the best cover found so far (at worst
+    every vertex).
     """
-    verts, edges = _indexed_edges(graph)
+    verts, _, adj = _indexed(graph)
     n = len(verts)
-    if n > MAX_EXACT_VERTICES:
-        raise ValueError(f"exact search capped at {MAX_EXACT_VERTICES} vertices, got {len(verts)}")
-    adj = [0] * n
-    for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
     if weight is None:
         wts, denom = [1] * n, 1
     else:
         wts, denom = _integer_weights([weight(v) for v in verts])
-    total = sum(wts)
+    classes = _weight_classes(wts)
     full = (1 << n) - 1
 
-    best = [0, 0]  # value, vertex mask
+    best_value, best_chosen = 0, 0  # weight and mask of the best independent set
     nodes = 0
     status = "optimal"
-
-    def rec(candidates: int, value: int, chosen: int) -> bool:
-        nonlocal nodes, status
+    stack = [(full, 0, 0)]  # candidate mask, value, independent set mask
+    while stack:
         if node_limit is not None and nodes >= node_limit:
             status = "limit_reached"
-            return False
+            break
         nodes += 1
-        rest = candidates
-        slack = 0
-        while rest:
-            low = rest & -rest
-            slack += wts[low.bit_length() - 1]
-            rest ^= low
-        if value + slack <= best[0]:
-            return True
-        if candidates == 0:
-            best[0], best[1] = value, chosen
-            return True
+        candidates, value, chosen = stack.pop()
+        if value + sum(w * (candidates & mask).bit_count() for w, mask in classes) <= best_value:
+            continue
+        if not candidates:
+            best_value, best_chosen = value, chosen
+            continue
         pick, pick_deg = -1, -1
         rest = candidates
         while rest:
@@ -267,79 +262,71 @@ def exact_min_vertex_cover(
             if deg > pick_deg:
                 pick, pick_deg = i, deg
             rest ^= low
-        return rec(
-            candidates & ~((1 << pick) | adj[pick]), value + wts[pick], chosen | (1 << pick)
-        ) and rec(candidates & ~(1 << pick), value, chosen)
+        bit = 1 << pick
+        stack.append((candidates & ~bit, value, chosen))
+        stack.append((candidates & ~(bit | adj[pick]), value + wts[pick], chosen | bit))  # "take", popped first
 
-    rec(full, 0, 0)
-    cover_mask = full & ~best[1]
-    cover = tuple(verts[i] for i in range(n) if (cover_mask >> i) & 1)
-    value = total - best[0]
+    cover = tuple(verts[i] for i in range(n) if not (best_chosen >> i) & 1)
+    value = sum(wts) - best_value
     return SolveResult(status, Fraction(value, denom) if weight is not None else value, cover, nodes)
 
 
 def exact_mbb(bip: Bipartite, node_limit: int | None = None) -> SolveResult:
-    """Maximum balanced biclique of a bipartite graph, by left-subset search."""
-    left, right = bip.left, bip.right
-    if len(left) > MAX_BICLIQUE_SIDE or len(right) > MAX_BICLIQUE_SIDE:
-        raise ValueError(f"biclique search capped at side size {MAX_BICLIQUE_SIDE}")
-    rpos = {v: i for i, v in enumerate(right)}
-    nb = []
-    for u in left:
-        mask = 0
-        for v in right:
-            if bip.has_edge(u, v):
-                mask |= 1 << rpos[v]
-        nb.append(mask)
-    full_right = (1 << len(right)) - 1
+    """Maximum balanced biclique of a bipartite graph, by left-subset search.
 
-    best = [0, (), 0]  # k, left tuple, right mask
+    Includes each left vertex in turn before leaving it out.  A search that
+    reaches ``node_limit`` stops with ``limit_reached`` and the best biclique
+    found so far.
+    """
+    left, right = bip.left, bip.right
+    lpos = {v: i for i, v in enumerate(left)}
+    rpos = {v: i for i, v in enumerate(right)}
+    nb = [0] * len(left)  # right neighbour mask of each left vertex
+    for u, v in bip.edges():
+        nb[lpos[u]] |= 1 << rpos[v]
+
+    best_k, best_chosen, best_common = 0, 0, 0
     nodes = 0
     status = "optimal"
-
-    def rec(i: int, chosen: tuple, common: int) -> bool:
-        nonlocal nodes, status
+    # next left index, included left mask, mask of their common right neighbours
+    stack = [(0, 0, (1 << len(right)) - 1)]
+    while stack:
         if node_limit is not None and nodes >= node_limit:
             status = "limit_reached"
-            return False
+            break
         nodes += 1
-        k = min(len(chosen), common.bit_count())
-        if k > best[0]:
-            best[0], best[1], best[2] = k, chosen, common
-        if i == len(left):
-            return True
-        if min(len(chosen) + (len(left) - i), common.bit_count()) <= best[0]:
-            return True
-        if not rec(i + 1, chosen + (i,), common & nb[i]):
-            return False
-        return rec(i + 1, chosen, common)
+        i, chosen, common = stack.pop()
+        size, width = chosen.bit_count(), common.bit_count()
+        if min(size, width) > best_k:
+            best_k, best_chosen, best_common = min(size, width), chosen, common
+        if i == len(left) or min(size + len(left) - i, width) <= best_k:
+            continue
+        stack.append((i + 1, chosen, common))
+        stack.append((i + 1, chosen | 1 << i, common & nb[i]))  # popped first
 
-    rec(0, (), full_right)
-    k = best[0]
-    left_part = tuple(left[i] for i in best[1][:k])
-    right_part = tuple(
-        right[i] for i in range(len(right)) if (best[2] >> i) & 1
-    )[:k]
+    left_part = tuple(left[i] for i in range(len(left)) if (best_chosen >> i) & 1)[:best_k]
+    right_part = tuple(right[i] for i in range(len(right)) if (best_common >> i) & 1)[:best_k]
     for u in left_part:  # the witness really is a biclique
         for v in right_part:
             if not bip.has_edge(u, v):
                 raise AssertionError("biclique witness has a missing edge")
-    return SolveResult(status, k, (left_part, right_part), nodes)
+    return SolveResult(status, best_k, (left_part, right_part), nodes)
 
 
 def exact_min_total_vertex_cover(graph) -> SolveResult:
-    """Smallest vertex cover whose members all have a neighbor inside it."""
-    from .blowup import total_vertex_cover_check
+    """Smallest vertex cover whose members all have a neighbor inside it.
 
-    verts = tuple(graph.vertices())
-    if len(verts) > MAX_TOTAL_COVER_VERTICES:
-        raise ValueError(
-            f"total cover search capped at {MAX_TOTAL_COVER_VERTICES} vertices, got {len(verts)}"
-        )
+    Tries vertex masks in order of size; in such a cover every member has a
+    neighbour inside and every non-member has none outside.
+    """
+    verts, _, adj = _indexed(graph)
+    n = len(verts)
+    if n > MAX_TOTAL_COVER_VERTICES:
+        raise ValueError(f"total cover search capped at {MAX_TOTAL_COVER_VERTICES} vertices, got {n}")
     nodes = 0
-    for k in range(len(verts) + 1):
-        for subset in combinations(verts, k):
+    for k in range(n + 1):
+        for s in k_subset_masks(n, k):
             nodes += 1
-            if total_vertex_cover_check(graph, subset):
-                return SolveResult("optimal", k, tuple(subset), nodes)
+            if all(adj[i] & s if (s >> i) & 1 else not adj[i] & ~s for i in range(n)):
+                return SolveResult("optimal", k, tuple(verts[i] for i in range(n) if (s >> i) & 1), nodes)
     raise AssertionError("the full vertex set always dominates itself")

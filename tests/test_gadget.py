@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mmmkit.gadget import (
     FLAVORS,
+    MAX_GRAPH_VERTICES,
     GadgetVertex,
     biased_weight,
     build_gadget,
@@ -134,8 +135,10 @@ def test_to_graph_materializes_same_edges():
     g = gadget.to_graph()
     assert g.n_vertices == 8
     assert g.n_edges == len(set(gadget.edges()))
-    with pytest.raises(ValueError):
-        gadget.to_graph(cap=4)
+    big = build_gadget(generate_yes(7, 15, seed=0), F(1, 4))  # 7 * 2^15 vertices
+    assert big.n_vertices > MAX_GRAPH_VERTICES
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        big.to_graph()
 
 
 def test_edge_weight_rules():

@@ -5,7 +5,7 @@ import pytest
 
 from mmmkit.cli import main
 from mmmkit.experiment import ExperimentConfig, run_experiment
-from mmmkit.graphs import Graph, random_graph
+from mmmkit.graphs import Graph, random_graph, verify_maximal_matching
 from mmmkit.lemmas import Check, LemmaReport, lemma_ids, verify_lemma
 from mmmkit.serialize import SCHEMA, SchemaError, canonical_json, graph_to_payload
 
@@ -392,6 +392,33 @@ def test_cli_solve_has_a_default_budget(tmp_path, capsys):
     assert out["nodes"] == 1_000_000
 
 
+@pytest.mark.parametrize("problem", ["mmm", "vc", "mbb"])
+def test_cli_solve_rejects_payloads_that_are_not_graphs(tmp_path, capsys, problem):
+    inst = _instance_file(tmp_path)
+    fm = tmp_path / "fm.json"
+    assert run_cli("fracmatch", "--in", str(_gadget_file(tmp_path)), "--out", str(fm)) == 0
+    capsys.readouterr()
+    for path, kind in ((inst, "ulc_instance"), (fm, "fractional_matching")):
+        assert run_cli("solve", problem, "--in", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: solve {problem} needs a graph payload, got {kind}" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_cli_solve_mmm_over_sixty_vertices_stops_at_its_budget(tmp_path, capsys):
+    # the solver once refused graphs over 60 vertices; the budget bounds it now
+    g = random_graph(70, 0.1, seed=0)
+    path = tmp_path / "g.json"
+    path.write_text(canonical_json(graph_to_payload(g)))
+    assert run_cli("solve", "mmm", "--in", str(path), "--budget", "1000") == 2
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["nodes"]) == ("limit_reached", 1000)
+    witness = [(int(u), int(v)) for u, v in out["witness"]]
+    assert verify_maximal_matching(g, witness)
+    assert out["value"] == str(len(witness))
+
+
 def test_cli_solve_vc_obeys_the_budget(tmp_path, capsys):
     # the unlimited search takes 75,061 nodes
     path = tmp_path / "g.json"
@@ -602,10 +629,10 @@ def test_cli_export_rejects_a_fracmatch_row_outside_its_gadget(tmp_path, capsys,
     assert message in captured.err and "Traceback" not in captured.err
 
 
-def test_cli_export_rejects_matching_pairs_that_are_not_a_list(tmp_path, capsys):
+def test_cli_export_rejects_the_matching_kind(tmp_path, capsys):
     path = tmp_path / "matching.json"
-    path.write_text(canonical_json({"schema": SCHEMA, "kind": "matching", "pairs": 5}))
+    path.write_text(canonical_json({"schema": SCHEMA, "kind": "matching", "pairs": [[0, 1]]}))
     assert run_cli("export", "--in", str(path)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "pairs must be a list" in captured.err and "Traceback" not in captured.err
+    assert "unknown kind 'matching'" in captured.err and "Traceback" not in captured.err

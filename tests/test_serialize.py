@@ -8,7 +8,7 @@ from mmmkit.bipartite import BipVertex, bipartise, random_planted_biclique
 from mmmkit.blowup import BlowupVertex, blow_up
 from mmmkit.cli import main
 from mmmkit.fracmatch import FractionalMatching, build_full
-from mmmkit.gadget import GadgetVertex, build_gadget, yes_matching
+from mmmkit.gadget import GadgetVertex, build_gadget
 from mmmkit.graphs import Graph, random_graph
 from mmmkit.serialize import (
     SCHEMA,
@@ -24,8 +24,6 @@ from mmmkit.serialize import (
     gadget_to_payload,
     graph_to_dot,
     loads,
-    matching_from_payload,
-    matching_to_payload,
     parse_fraction,
     rows_to_csv,
     to_payload,
@@ -134,14 +132,6 @@ def test_bipartite_round_trip():
     assert again.left == bip.left
     assert again.right == bip.right
     assert list(again.edges()) == list(bip.edges())
-
-
-def test_matching_round_trip():
-    gadget = build_gadget(generate_yes(3, 2, seed=0), F(1, 4))
-    m = yes_matching(gadget)
-    payload = matching_to_payload(m)
-    assert matching_from_payload(payload) == m
-    assert from_payload(payload) == m
 
 
 def test_from_payload_schema_checks():
@@ -315,4 +305,33 @@ def test_cli_export_rejects_a_repeated_fracmatch_row(tmp_path, capsys, reverse):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "duplicate edge" in captured.err and f"(at $.edges[{len(payload['edges']) - 1}])" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def _with_a_self_loop(text):
+    payload = json.loads(text)
+    u, _, value = payload["edges"][0]
+    payload["edges"].append([u, u, value])
+    return payload
+
+
+def test_loads_rejects_a_self_loop_fracmatch_row():
+    fm = build_full(build_gadget(generate_yes(3, 2, xi=F(1, 4), seed=0), F(1, 4)))
+    payload = _with_a_self_loop(dumps(fm))
+    with pytest.raises(SchemaError, match="self-loop") as err:
+        loads(canonical_json(payload))
+    assert err.value.path == f"$.edges[{len(payload['edges']) - 1}]"
+
+
+def test_cli_export_rejects_a_self_loop_fracmatch_row(tmp_path, capsys):
+    fm = tmp_path / "fm.json"
+    assert main(["fracmatch", "--in", str(_cli_gadget(tmp_path, 2)), "--out", str(fm)]) == 0
+    payload = _with_a_self_loop(fm.read_text())
+    edited = tmp_path / "edited.json"
+    edited.write_text(canonical_json(payload))
+    capsys.readouterr()
+    assert main(["export", "--in", str(edited)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "self-loop" in captured.err and f"(at $.edges[{len(payload['edges']) - 1}])" in captured.err
     assert "Traceback" not in captured.err

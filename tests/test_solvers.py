@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmmkit.bipartite import bipartise, random_planted_biclique, sseh_gadget
+from mmmkit.blowup import total_vertex_cover_check
 from mmmkit.gadget import build_gadget
 from mmmkit.graphs import (
     Bipartite,
@@ -119,9 +121,16 @@ def test_exact_mmm_weighted_can_beat_smallest_cardinality():
 
 def test_exact_mmm_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        exact_mmm(random_graph(61, 0.1, seed=0))
-    with pytest.raises(ValueError):
         exact_mmm(path(3), weight=lambda u, v: 0)
+
+
+def test_exact_mmm_over_sixty_vertices_stops_at_its_budget():
+    # the search once refused graphs over 60 vertices; the budget bounds it now
+    g = random_graph(61, 0.1, seed=0)
+    result = exact_mmm(g, node_limit=1000)
+    assert (result.status, result.nodes) == ("limit_reached", 1000)
+    assert verify_maximal_matching(g, result.witness)
+    assert result.value == len(result.witness)
 
 
 def test_exact_mmm_weighted_gadget_pinned():
@@ -201,6 +210,17 @@ def test_exact_solvers_reject_inexact_weights(bad):
         exact_mmm(path(3), weight=lambda u, v: bad)
     with pytest.raises(ValueError):
         exact_min_vertex_cover(path(3), weight=lambda v: bad)
+
+
+def test_exact_min_vertex_cover_searches_deep_inputs():
+    # the search runs over a thousand levels deep on this sparse graph; the
+    # value and node count are the recursive search's, recorded with its
+    # vertex cap lifted and the interpreter's recursion limit raised
+    g = random_graph(1500, 0.0005, seed=0)
+    result = exact_min_vertex_cover(g, node_limit=5000)
+    assert (result.status, result.value, result.nodes) == ("limit_reached", 481, 5000)
+    assert verify_vertex_cover(g, result.witness)
+    assert len(result.witness) == 481
 
 
 def test_exact_min_vertex_cover_node_limit():
@@ -367,6 +387,18 @@ def test_exact_min_vertex_cover_weighted():
         exact_min_vertex_cover(g, weight=lambda v: 0)
 
 
+@pytest.mark.parametrize("num_vars,num_colors,value,nodes", [(4, 3, F(5, 8), 159), (6, 2, F(45, 64), 77)])
+def test_exact_min_vertex_cover_weighted_gadget_pinned(num_vars, num_colors, value, nodes):
+    # gadget weights fall into num_colors + 1 classes, each one in the bound;
+    # value and node count were recorded from the recursive search
+    gadget = build_gadget(generate_yes(num_vars, num_colors, xi=F(1, 2), topology="cycle", seed=1), F(1, 8))
+    g = gadget.to_graph()
+    result = exact_min_vertex_cover(g, weight=gadget.vertex_weight)
+    assert (result.status, result.value, result.nodes) == ("optimal", value, nodes)
+    assert verify_vertex_cover(g, result.witness)
+    assert gadget.set_weight(result.witness) == value
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_exact_min_vertex_cover_agrees_with_subset_filter(seed):
     g = random_graph(8, 0.4, seed=seed)
@@ -377,6 +409,16 @@ def test_exact_min_vertex_cover_agrees_with_subset_filter(seed):
          if verify_vertex_cover(g, sub)),
     )
     assert exact_min_vertex_cover(g).value == brute
+    # with weights in three classes the bound sums one popcount per class
+    rng = random.Random(seed)
+    weights = {v: rng.randrange(1, 4) for v in verts}
+    brute = min(
+        sum(weights[v] for v in sub)
+        for k in range(len(verts) + 1)
+        for sub in combinations(verts, k)
+        if verify_vertex_cover(g, sub)
+    )
+    assert exact_min_vertex_cover(g, weight=weights.__getitem__).value == brute
 
 
 def test_exact_mbb_known_values():
@@ -404,10 +446,69 @@ def test_exact_mbb_witness_is_balanced_biclique():
             assert g.has_edge(u, v)
 
 
-def test_exact_mbb_caps_and_limits():
+def random_bipartite(a, b, p, seed):
+    rng = random.Random(seed)
+    g = Bipartite(left=range(a), right=range(a, a + b))
+    for u in range(a):
+        for v in range(a, a + b):
+            if rng.random() < p:
+                g.add_edge(u, v)
+    return g
+
+
+@pytest.mark.parametrize(
+    "make,value,witness,nodes",
+    [
+        (
+            lambda: random_planted_biclique(8, F(1, 4), seed=0)[0],
+            2,
+            ((("a", 0), ("a", 4)), (("b", 0), ("b", 2))),
+            51,
+        ),
+        (lambda: random_bipartite(10, 12, 0.6, 5), 4, ((1, 4, 8, 9), (12, 13, 15, 21)), 117),
+        (
+            lambda: random_bipartite(14, 14, 0.8, 2),
+            7,
+            ((0, 1, 5, 8, 9, 10, 12), (17, 19, 20, 21, 22, 24, 27)),
+            329,
+        ),
+    ],
+    ids=["planted-8", "random-10x12", "random-14x14"],
+)
+def test_exact_mbb_pinned(make, value, witness, nodes):
+    # recorded from the recursive search this explicit-stack one replaced
+    result = exact_mbb(make())
+    assert (result.status, result.value, result.witness, result.nodes) == ("optimal", value, witness, nodes)
+
+
+def test_exact_mbb_searches_deep_inputs():
+    # a perfect matching plus one 2x2 biclique at the end: the search walks
+    # 1200 levels down the "leave out" branches, past the recursion limit;
+    # recorded from the recursive search as in the deep vertex cover test
+    n = 1200
+    g = Bipartite(left=range(n), right=range(n, 2 * n))
+    for i in range(n):
+        g.add_edge(i, n + i)
+    g.add_edge(n - 2, 2 * n - 1)
+    g.add_edge(n - 1, 2 * n - 2)
+    result = exact_mbb(g)
+    assert (result.status, result.value, result.nodes) == ("optimal", 2, 2401)
+    assert result.witness == ((n - 2, n - 1), (2 * n - 2, 2 * n - 1))
+
+
+def test_exact_mbb_wide_sides_and_limits():
+    # sides over 20 vertices were once refused; the budget bounds them now
     wide = Bipartite(left=range(21), right=range(21, 42))
-    with pytest.raises(ValueError):
-        exact_mbb(wide)
+    empty = exact_mbb(wide)
+    assert (empty.status, empty.value) == ("optimal", 0)
+    for u in range(21):
+        for v in range(21, 42):
+            wide.add_edge(u, v)
+    assert exact_mbb(wide).value == 21
+    limited = exact_mbb(wide, node_limit=10)
+    assert (limited.status, limited.value, limited.nodes) == ("limit_reached", 9, 10)
+    left_part, right_part = limited.witness
+    assert len(left_part) == len(right_part) == 9
     g = Bipartite(left=range(6), right=range(6, 12))
     for u in range(6):
         for v in range(6, 12):
@@ -430,6 +531,50 @@ def test_exact_min_total_vertex_cover_named_graphs(g, expected):
     result = exact_min_total_vertex_cover(g)
     assert result.value == expected
     assert result.optimal
+
+
+def brute_total_vertex_cover(g):
+    """The subset search that the mask walk replaced, kept as its reference:
+    the first vertex subset, smallest first, that is a total cover."""
+    verts = g.vertices()
+    for k in range(len(verts) + 1):
+        for subset in combinations(verts, k):
+            if total_vertex_cover_check(g, subset):
+                return k
+
+
+def small_graphs(n):
+    """One labelling of every graph on n vertices: the edge sets whose
+    degrees do not rise with the vertex index (ordering the vertices by
+    degree relabels any graph into one of them)."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        edges = [e for k, e in enumerate(pairs) if (mask >> k) & 1]
+        deg = [0] * n
+        for i, j in edges:
+            deg[i] += 1
+            deg[j] += 1
+        if all(deg[i] >= deg[i + 1] for i in range(n - 1)):
+            yield Graph(vertices=range(n), edges=edges)
+
+
+def check_total_cover(g):
+    result = exact_min_total_vertex_cover(g)
+    assert result.optimal
+    assert result.value == len(result.witness) == brute_total_vertex_cover(g)
+    assert total_vertex_cover_check(g, result.witness)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_total_cover_matches_the_subset_reference_on_every_small_graph(n):
+    for g in small_graphs(n):
+        check_total_cover(g)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_total_cover_matches_the_subset_reference_on_random_graphs(seed):
+    rng = random.Random(seed)
+    check_total_cover(random_graph(rng.randrange(7, 11), rng.choice((0.2, 0.35, 0.5, 0.7)), seed=seed))
 
 
 def test_total_cover_at_least_plain_cover():
