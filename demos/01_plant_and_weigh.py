@@ -9,7 +9,7 @@ rest, summing to 1 on the nose.
 from fractions import Fraction
 
 from mmmkit import build_gadget, generate_yes, planted_independent_set, yes_matching
-from mmmkit.graphs import verify_maximal_matching_via_unmatched
+from mmmkit.graphs import verify_maximal_matching
 
 
 def main() -> None:
@@ -30,7 +30,7 @@ def main() -> None:
     print(f"weights sum to {ind.weight + matched}")
 
     assert ind.weight + matched == 1
-    check = verify_maximal_matching_via_unmatched(gadget, matching)
+    check = verify_maximal_matching(gadget, matching)
     print(f"matching maximal: {check.ok}")
     assert check, check.reason
 

@@ -43,23 +43,6 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def k_subset_masks(n: int, k: int) -> Iterator[int]:
-    """Yield all k-element subsets of [n] as masks in ascending numeric order."""
-    if k < 0 or k > n:
-        return
-    if k == 0:
-        yield 0
-        return
-    mask = (1 << k) - 1
-    top = 1 << n
-    while mask < top:
-        yield mask
-        # Gosper's hack: next larger int with the same popcount.
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) >> 2) // low)
-
-
 def down_closure(members: Iterable[int], width: int) -> list[int]:
     """Subset-zeta table over the masks of ``width`` bits.
 

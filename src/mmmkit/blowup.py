@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 from .fracmatch import FractionalMatching
@@ -55,8 +56,8 @@ class BlowupGraph:
             round_half_away(self.n * w) for w in gadget.weight_by_size
         )
         self.copies_by_size = tuple(4 * n for n in self.n_v_by_size)
-        per_cloud = sum(self.copies_by_size[s.bit_count()] for s in range(gadget.cloud_size))
-        total = per_cloud * gadget.num_vars
+        m = gadget.num_colors
+        total = sum(comb(m, k) * c for k, c in enumerate(self.copies_by_size)) * gadget.num_vars
         if total > MAX_BLOWUP_VERTICES:
             raise ValueError(f"blowup would have {total} vertices, exceeding the cap {MAX_BLOWUP_VERTICES}")
         self.n_vertices = total
@@ -337,9 +338,9 @@ def blowup_maximality_check(blowup: BlowupGraph, matching: CopyMatching | Iterab
 def total_vertex_cover_check(graph, vertex_set: Iterable) -> CheckResult:
     """True iff the set is a vertex cover and every member has a neighbor in the set."""
     chosen = set(vertex_set)
-    for u, v in graph.edges():
-        if u not in chosen and v not in chosen:
-            return CheckResult(False, (u, v), "uncovered edge")
+    covered = verify_vertex_cover(graph, chosen)
+    if not covered:
+        return covered
     for v in chosen:
         if not any(w in chosen for w in graph.neighbors(v)):
             return CheckResult(False, v, "member without a neighbor in the set")

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .gadget import FLAVORS, build_gadget
@@ -35,9 +34,6 @@ from .ulc import TOPOLOGIES, generate_yes
 # Only the parser and the light subcommands (gen-ulc, build-gadget, export)
 # import at module level; every other subcommand imports what it runs in its
 # handler, so a cold start loads no module its subcommand does not use.
-if TYPE_CHECKING:
-    from .fracmatch import SaturationReport
-
 DOT_CAP = 10_000
 SOLVE_BUDGET = 1_000_000  # `solve` search nodes unless --budget says otherwise
 SOLVE_KINDS = ("graph", "gadget_graph", "blowup_graph", "bipartite", "sseh_gadget")
@@ -117,17 +113,6 @@ def _cmd_build_gadget(args) -> int:
     return 0
 
 
-def _first_violation(report: SaturationReport) -> str:
-    if not report.support_ok:
-        u, v = report.support_violation
-        return f"support edge {u.label()} ~ {v.label()} is not a gadget edge"
-    if not report.capacity_ok:
-        u, v, value, cap = report.capacity_violation
-        return f"edge {u.label()} ~ {v.label()} carries {value}, over its capacity {cap}"
-    v, load, weight = report.budget_violation
-    return f"vertex {v.label()} has load {load}, over its weight {weight}"
-
-
 def _cmd_fracmatch(args) -> int:
     from .fracmatch import build_full, validate
 
@@ -136,7 +121,7 @@ def _cmd_fracmatch(args) -> int:
     fm = build_full(gadget)
     report = validate(fm)
     if not report.ok:
-        print(f"error: fractional matching is invalid, nothing written: {_first_violation(report)}",
+        print(f"error: fractional matching is invalid, nothing written: {report.first_violation()}",
               file=sys.stderr)
         return 1
     if args.format == "json":

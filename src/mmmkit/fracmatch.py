@@ -154,6 +154,19 @@ class SaturationReport:
     def ok(self) -> bool:
         return self.support_ok and self.capacity_ok and self.budget_ok
 
+    def first_violation(self) -> str:
+        """The first broken invariant in words, or '' when the matching is valid."""
+        if not self.support_ok:
+            u, v = self.support_violation
+            return f"support edge {u.label()} ~ {v.label()} is not a gadget edge"
+        if not self.capacity_ok:
+            u, v, value, cap = self.capacity_violation
+            return f"edge {u.label()} ~ {v.label()} carries {value}, over its capacity {cap}"
+        if not self.budget_ok:
+            v, load, weight = self.budget_violation
+            return f"vertex {v.label()} has load {load}, over its weight {weight}"
+        return ""
+
 
 def _stage(gadget: GadgetGraph, stage: int) -> FractionalMatching:
     fm = FractionalMatching(gadget)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bitsets import down_closure, elements_of, submasks
@@ -111,8 +112,8 @@ class GadgetGraph:
         return self.weight_by_size[v.subset.bit_count()]
 
     def total_weight(self) -> Fraction:
-        units = self.units_by_size
-        cloud = sum(units[s.bit_count()] for s in range(self.cloud_size))
+        m = self.num_colors
+        cloud = sum(comb(m, k) * u for k, u in enumerate(self.units_by_size))
         return Fraction(cloud * self.num_vars, self.denominator)
 
     def __contains__(self, v) -> bool:

@@ -185,46 +185,26 @@ def verify_matching(graph, matching: Iterable[tuple[Vertex, Vertex]]) -> CheckRe
 def verify_maximal_matching(graph, matching: Iterable[tuple[Vertex, Vertex]]) -> CheckResult:
     """True iff no graph edge has both endpoints unmatched.
 
-    Raises ValueError when the input is not a matching at all; a maximality
-    failure is reported through the result, with the addable edge as witness.
+    A graph with an ``edge_within`` method (the gadget's independence
+    kernel) answers for the whole unmatched set at once; any other graph is
+    scanned edge by edge.  Raises ValueError when the input is not a
+    matching at all; a maximality failure is reported through the result,
+    with the addable edge as witness.
     """
     matching = list(matching)
     valid = verify_matching(graph, matching)
     if not valid:
         raise ValueError(f"not a matching: {valid.reason} at {valid.witness!r}")
     matched = matched_vertices(matching)
-    for u, v in graph.edges():
-        if u not in matched and v not in matched:
-            return CheckResult(False, (u, v), "addable edge")
-    return CheckResult(True)
-
-
-def verify_maximal_matching_via_unmatched(
-    graph, matching: Iterable[tuple[Vertex, Vertex]]
-) -> CheckResult:
-    """Maximality check that looks at the unmatched vertices instead of edges.
-
-    Equivalent to ``verify_maximal_matching``: a matching is maximal exactly
-    when no edge joins two unmatched vertices.  Preferable when the graph is
-    large but the unmatched set is small.  A graph with an ``edge_within``
-    method (the gadget's independence kernel) answers for the whole unmatched
-    set at once; any other graph is scanned pair by pair with ``has_edge``.
-    """
-    matching = list(matching)
-    valid = verify_matching(graph, matching)
-    if not valid:
-        raise ValueError(f"not a matching: {valid.reason} at {valid.witness!r}")
-    matched = matched_vertices(matching)
-    unmatched = [v for v in graph.vertices() if v not in matched]
     edge_within = getattr(graph, "edge_within", None)
     if edge_within is not None:
-        edge = edge_within(unmatched)
-        return CheckResult(True) if edge is None else CheckResult(False, edge, "addable edge")
-    for i, u in enumerate(unmatched):
-        for v in unmatched[i + 1 :]:
-            if graph.has_edge(u, v):
-                return CheckResult(False, (u, v), "addable edge")
-    return CheckResult(True)
+        edge = edge_within([v for v in graph.vertices() if v not in matched])
+    else:
+        edge = next(((u, v) for u, v in graph.edges() if u not in matched and v not in matched), None)
+    return CheckResult(True) if edge is None else CheckResult(False, edge, "addable edge")
+
+
+verify_maximal_matching_via_unmatched = verify_maximal_matching  # the name the benchmark grid imports
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:

@@ -37,7 +37,6 @@ from .graphs import (
     matched_vertices,
     random_graph,
     verify_maximal_matching,
-    verify_maximal_matching_via_unmatched,
 )
 from .solvers import (
     enumerate_maximal_matchings,
@@ -300,7 +299,7 @@ def _lemma_path_cover(p) -> list[Check]:
     for t in range(trials):
         m_base = greedy_maximal_matching(base, seed=p["seed"] * 1000 + t)
         doubled = double_matching(bip, m_base)
-        if not verify_maximal_matching_via_unmatched(bip, doubled):
+        if not verify_maximal_matching(bip, doubled):
             doubling_ok = False
             detail_d = f"trial {t}"
         if len(doubled) != 2 * len(m_base):
@@ -396,8 +395,14 @@ def _lemma_total_vc(p) -> list[Check]:
     detail = ""
     for t in range(p["trials"]):
         g = random_graph(p["n"], p["p"], seed=p["seed"] * 1000 + t)
-        tvc = exact_min_total_vertex_cover(g)
-        vc = exact_min_vertex_cover(g)
+        tvc = exact_min_total_vertex_cover(g, node_limit=p["budget"])
+        vc = exact_min_vertex_cover(g, node_limit=p["budget"])
+        spent = _over_budget(
+            p["budget"], exact_min_total_vertex_cover=not tvc.optimal, exact_min_vertex_cover=not vc.optimal
+        )
+        if spent:
+            ok, detail = False, f"trial {t}: {spent}"
+            break
         if tvc.value < vc.value:
             ok = False
             detail = f"trial {t}: total {tvc.value} below plain {vc.value}"
@@ -465,6 +470,7 @@ LEMMAS = {
             "n": 8,
             "p": 0.5,
             "trials": 20,
+            "budget": 200_000,
         },
         "matched sets as total vertex covers",
     ),

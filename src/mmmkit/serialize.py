@@ -342,12 +342,12 @@ def fracmatch_csv_rows(fm: FractionalMatching) -> list[dict]:
 
 
 def fracmatch_from_payload(payload, path: str = "$") -> FractionalMatching:
-    from .fracmatch import FractionalMatching
+    from .fracmatch import FractionalMatching, validate
 
     _expect_kind(payload, "fractional_matching", path)
     gadget = gadget_from_payload(_expect(payload, "gadget", path), f"{path}.gadget")
     fm = FractionalMatching(gadget)
-    seen: set[tuple[GadgetVertex, GadgetVertex]] = set()
+    seen: dict[tuple[GadgetVertex, GadgetVertex], int] = {}  # edge -> its row
     for i, row in enumerate(_expect_list(payload, "edges", path)):
         where = f"{path}.edges[{i}]"
         if not (isinstance(row, list) and len(row) == 3):
@@ -361,8 +361,17 @@ def fracmatch_from_payload(payload, path: str = "$") -> FractionalMatching:
         key = (min(ends), max(ends))
         if key in seen:
             raise SchemaError(f"duplicate edge {row[0]!r} ~ {row[1]!r}", where)
-        seen.add(key)
-        fm.add(ends[0], ends[1], parse_fraction(row[2], f"{where}[2]"))
+        seen[key] = i
+        value = parse_fraction(row[2], f"{where}[2]")
+        if value < 0:
+            raise SchemaError(f"negative value {row[2]!r}", f"{where}[2]")
+        fm.add(ends[0], ends[1], value)
+    report = validate(fm)
+    if not report.ok:
+        # a bad row is named by its index; a vertex overload has no one row
+        edge = report.support_violation or report.capacity_violation
+        where = f"{path}.edges[{seen[edge[:2]]}]" if edge else f"{path}.edges"
+        raise SchemaError(report.first_violation(), where)
     return fm
 
 

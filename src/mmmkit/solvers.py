@@ -4,9 +4,10 @@ Everything here is deliberately independent of the gadget constructions:
 solvers see only a graph protocol (vertices and edges) plus an optional
 edge or vertex weight callable.  Each exact solver reads the graph once as
 bitmasks (``_indexed``) and walks its search tree from an explicit stack,
-so no input is too deep to search.  Every branch and bound search stops at
-its ``node_limit``; only the total cover search, which has none, refuses
-graphs over ``MAX_TOTAL_COVER_VERTICES`` vertices.
+so no input is too deep to search.  Every branch and bound search stops
+at its ``node_limit``, which is its only size limit.  The vertex cover and
+the total vertex cover share one independent-set search
+(``_cover_search``); the total cover only adds a leaf test.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .bitsets import k_subset_masks
 from .graphs import Bipartite
-
-MAX_TOTAL_COVER_VERTICES = 16
 
 
 @dataclass(frozen=True)
@@ -214,20 +212,34 @@ def enumerate_maximal_matchings(graph) -> Iterator[tuple]:
             stack.append((decided | 1 << i | 1 << j, unmatched, depth, (verts[i], verts[j])))
 
 
-def exact_min_vertex_cover(
-    graph,
-    weight: Callable | None = None,
-    node_limit: int | None = None,
-) -> SolveResult:
-    """Minimum (weight) vertex cover via a maximum-weight independent set search.
+def exact_min_vertex_cover(graph, weight: Callable | None = None, node_limit: int | None = None) -> SolveResult:
+    """Minimum (weight) vertex cover, the complement of a maximum-weight independent set.
+
+    Vertex weights must be positive ints or Fractions; like ``exact_mmm`` the
+    search adds them as integers over their common denominator.  At
+    ``node_limit`` it stops with ``limit_reached`` and the best cover found
+    so far (at worst every vertex).
+    """
+    return _cover_search(graph, weight, node_limit, total=False)
+
+
+def exact_min_total_vertex_cover(graph, node_limit: int | None = None) -> SolveResult:
+    """Smallest vertex cover whose members all have a neighbor inside it.
+
+    Its first cover is every non-isolated vertex, which is always total, so
+    at ``node_limit`` it still stops with a total cover.
+    """
+    return _cover_search(graph, None, node_limit, total=True)
+
+
+def _cover_search(graph, weight: Callable | None, node_limit: int | None, total: bool) -> SolveResult:
+    """The complement of the heaviest independent set, by branch and bound.
 
     Takes the candidate of highest degree (lowest index on ties) into the set
     before leaving it out, and cuts a node whose value plus the weight of all
-    its candidates cannot beat the best set.  Vertex weights must be positive
-    ints or Fractions; like ``exact_mmm`` the search adds them as integers
-    over their common denominator.  A search that reaches ``node_limit``
-    stops with ``limit_reached`` and the best cover found so far (at worst
-    every vertex).
+    its candidates cannot beat the best set.  With ``total`` a leaf counts
+    only when every vertex outside the set has a neighbour outside it, and
+    the first set is the isolated vertices.
     """
     verts, _, adj = _indexed(graph)
     n = len(verts)
@@ -238,7 +250,9 @@ def exact_min_vertex_cover(
     classes = _weight_classes(wts)
     full = (1 << n) - 1
 
-    best_value, best_chosen = 0, 0  # weight and mask of the best independent set
+    # mask and weight of the best independent set (a total cover is unweighted)
+    best_chosen = sum(1 << i for i in range(n) if not adj[i]) if total else 0
+    best_value = best_chosen.bit_count()
     nodes = 0
     status = "optimal"
     stack = [(full, 0, 0)]  # candidate mask, value, independent set mask
@@ -251,7 +265,9 @@ def exact_min_vertex_cover(
         if value + sum(w * (candidates & mask).bit_count() for w, mask in classes) <= best_value:
             continue
         if not candidates:
-            best_value, best_chosen = value, chosen
+            out = full & ~chosen
+            if not total or all(adj[i] & out for i in range(n) if out >> i & 1):
+                best_value, best_chosen = value, chosen
             continue
         pick, pick_deg = -1, -1
         rest = candidates
@@ -311,22 +327,3 @@ def exact_mbb(bip: Bipartite, node_limit: int | None = None) -> SolveResult:
             if not bip.has_edge(u, v):
                 raise AssertionError("biclique witness has a missing edge")
     return SolveResult(status, best_k, (left_part, right_part), nodes)
-
-
-def exact_min_total_vertex_cover(graph) -> SolveResult:
-    """Smallest vertex cover whose members all have a neighbor inside it.
-
-    Tries vertex masks in order of size; in such a cover every member has a
-    neighbour inside and every non-member has none outside.
-    """
-    verts, _, adj = _indexed(graph)
-    n = len(verts)
-    if n > MAX_TOTAL_COVER_VERTICES:
-        raise ValueError(f"total cover search capped at {MAX_TOTAL_COVER_VERTICES} vertices, got {n}")
-    nodes = 0
-    for k in range(n + 1):
-        for s in k_subset_masks(n, k):
-            nodes += 1
-            if all(adj[i] & s if (s >> i) & 1 else not adj[i] & ~s for i in range(n)):
-                return SolveResult("optimal", k, tuple(verts[i] for i in range(n) if (s >> i) & 1), nodes)
-    raise AssertionError("the full vertex set always dominates itself")

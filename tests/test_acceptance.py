@@ -45,7 +45,7 @@ from mmmkit import (
 )
 from mmmkit.cli import main as run_cli
 from mmmkit.fracmatch import saturates_exactly_outside_planted_set
-from mmmkit.graphs import Graph, verify_maximal_matching_via_unmatched
+from mmmkit.graphs import Graph
 from mmmkit.serialize import canonical_json, dumps
 
 F = Fraction
@@ -109,7 +109,7 @@ def test_criterion_02_pairing_weight_bound(criterion, grid_gadgets):
             bad.append(f"{tag}: weights sum to {total + ind.weight}")
         if 2 * xi <= eps and total > F(1, 2) + 2 * eps:
             bad.append(f"{tag}: matching weight {total} above 1/2 + 2 eps")
-        check = verify_maximal_matching_via_unmatched(gadget, matching)
+        check = verify_maximal_matching(gadget, matching)
         if not check:
             bad.append(f"{tag}: not maximal, witness {check.witness}")
     passed = criterion(

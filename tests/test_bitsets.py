@@ -1,10 +1,32 @@
 from math import comb
+from typing import Iterator
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mmmkit.bitsets import down_closure, elements_of, k_subset_masks, mask_of, submasks
+from mmmkit.bitsets import down_closure, elements_of, mask_of, submasks
+
+
+def k_subset_masks(n: int, k: int) -> Iterator[int]:
+    """Yield all k-element subsets of [n] as masks in ascending numeric order.
+
+    A test helper (the stage-plan tests use it too): no library code walks
+    subsets by size.
+    """
+    if k < 0 or k > n:
+        return
+    if k == 0:
+        yield 0
+        return
+    mask = (1 << k) - 1
+    top = 1 << n
+    while mask < top:
+        yield mask
+        # Gosper's hack: next larger int with the same popcount.
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
 def test_mask_of_elements_round_trip():

@@ -14,7 +14,7 @@ from mmmkit.gadget import (
     planted_independent_set,
     yes_matching,
 )
-from mmmkit.graphs import verify_maximal_matching, verify_maximal_matching_via_unmatched
+from mmmkit.graphs import verify_maximal_matching
 from mmmkit.ulc import Planted, generate_yes, new_instance
 
 ID2 = (0, 1)
@@ -42,6 +42,11 @@ def test_biased_weight_validation():
         biased_weight(2, 2, F(0), 1)
     with pytest.raises(ValueError):
         biased_weight(2, 2, F(1, 4), 3)
+
+
+def test_total_weight_counts_subsets_by_size_at_thirty_colours():
+    # a loop over the 2^30 subsets of a cloud would take minutes
+    assert build_gadget(new_instance(3, 30, []), F(1, 4)).total_weight() == 1
 
 
 @pytest.mark.parametrize("num_vars,num_colors,eps", [(2, 1, F(1, 4)), (3, 2, F(1, 8)), (5, 4, F(3, 8))])
@@ -237,7 +242,7 @@ def test_yes_matching_saturates_complement_exactly():
     )
     assert gadget.matching_weight(matching, "plus") == F(3, 4)
     assert gadget.matching_weight(matching, "plus") + planted_independent_set(gadget).weight == 1
-    assert verify_maximal_matching_via_unmatched(gadget, matching)
+    assert verify_maximal_matching(gadget, matching)
 
 
 def test_yes_matching_mixed_core():
@@ -323,11 +328,11 @@ def test_unmatched_check_agrees_with_edge_scan_on_yes_matching(num_vars, num_col
     gadget = build_gadget(generate_yes(num_vars, num_colors, xi=xi, seed=seed), F(1, 4))
     graph = gadget.to_graph()
     matching = list(yes_matching(gadget))
-    assert verify_maximal_matching_via_unmatched(gadget, matching)
+    assert verify_maximal_matching(gadget, matching)
     assert verify_maximal_matching(graph, matching)
     for drop in (0, len(matching) // 2, len(matching) - 1):
         short = matching[:drop] + matching[drop + 1 :]
-        fast = verify_maximal_matching_via_unmatched(gadget, short)
+        fast = verify_maximal_matching(gadget, short)
         slow = verify_maximal_matching(graph, short)
         assert not fast and not slow
         assert graph.has_edge(*fast.witness)
@@ -337,7 +342,7 @@ def test_yes_matching_is_checked_maximal_at_twelve_colours():
     gadget = build_gadget(generate_yes(4, 12, xi=F(1, 2), seed=0), F(1, 4))
     matching = yes_matching(gadget)
     assert len(matching) == (gadget.n_vertices - len(planted_independent_set(gadget).vertices)) // 2
-    assert verify_maximal_matching_via_unmatched(gadget, matching)
+    assert verify_maximal_matching(gadget, matching)
 
 
 def test_units_by_size_are_weights_over_the_denominator():

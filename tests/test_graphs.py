@@ -84,16 +84,17 @@ def test_matched_vertices():
 
 @given(st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=10))
 def test_maximality_checks_agree(seed, gseed):
-    # the edge-scan and the unmatched-pair-scan are independent code paths
+    # against brute force: a matching is maximal exactly when adding any
+    # graph edge to it leaves no matching
     g = random_graph(9, 0.35, seed=gseed)
-    m = greedy_maximal_matching(g, seed=seed)
-    a = verify_maximal_matching(g, m)
-    b = verify_maximal_matching_via_unmatched(g, m)
-    assert bool(a) and bool(b)
-    short = m[:-1]
-    assert bool(verify_maximal_matching(g, short)) == bool(
-        verify_maximal_matching_via_unmatched(g, short)
-    )
+    m = list(greedy_maximal_matching(g, seed=seed))
+    for matching in (m, m[:-1], m[1:]):
+        brute = not any(verify_matching(g, matching + [e]) for e in g.edges())
+        result = verify_maximal_matching(g, matching)
+        assert bool(result) == brute
+        if not result:
+            assert verify_matching(g, matching + [result.witness])
+    assert verify_maximal_matching_via_unmatched is verify_maximal_matching
 
 
 def test_bipartite_validation():

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,23 @@ def _gadget_file(tmp_path):
     inst = _instance_file(tmp_path)
     assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/4", "--out", str(gadget)) == 0
     return gadget
+
+
+def test_cli_refuses_a_thirty_colour_blowup_before_counting_its_clouds(tmp_path, capsys):
+    inst, gadget = tmp_path / "inst.json", tmp_path / "gadget.json"
+    assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", "30", "--out", str(inst)) == 0
+    assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/4", "--out", str(gadget)) == 0
+    blowup = tmp_path / "blowup.json"
+    payload = {"schema": SCHEMA, "kind": "blowup_graph", "gadget": json.loads(gadget.read_text()), "rho": "1"}
+    blowup.write_text(canonical_json(payload))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run_cli("blowup", "--in", str(gadget), "--rho", "1") == 2
+    assert run_cli("export", "--in", str(blowup)) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("exceeding the cap 200000") == 2 and "Traceback" not in captured.err
 
 
 def _edited_copy(path, edit, *keys):
@@ -463,6 +481,18 @@ def test_blowup_soundness_cover_search_obeys_the_budget(capsys):
     out = capsys.readouterr().out
     assert "[FAIL] matching-vs-cover-bound: " in out
     assert "exact_min_vertex_cover reached the budget of 1 nodes" in out
+
+
+def test_total_vc_cover_searches_obey_the_budget(capsys):
+    assert run_cli("verify-lemma", "total-vc", "--budget", "1") == 1
+    out = capsys.readouterr().out
+    assert "[PASS] matched-set-total-cover: " in out
+    assert (
+        "[FAIL] total-cover-at-least-cover: trial 0: exact_min_total_vertex_cover and"
+        " exact_min_vertex_cover reached the budget of 1 nodes"
+    ) in out
+    report = verify_lemma("total-vc")
+    assert report.ok and report.params["budget"] == 200_000
 
 
 def test_path_cover_cover_search_obeys_the_budget():

@@ -218,6 +218,11 @@ def _assert_writers_match_references(fm):
     assert text == reference_fracmatch_json(fm)
     assert dumps(fm) == text
     assert rows_to_csv(("u", "v", "value"), fracmatch_csv_rows(fm)) == reference_fracmatch_csv(fm)
+    return text
+
+
+def _assert_round_trip(fm):
+    text = _assert_writers_match_references(fm)
     again = loads(text)
     assert again.support() == fm.support()
     assert dumps(again) == text
@@ -225,23 +230,85 @@ def _assert_writers_match_references(fm):
 
 def test_fracmatch_writer_on_an_empty_matching():
     fm = FractionalMatching(build_gadget(generate_yes(3, 2, seed=0), F(1, 4)))
-    _assert_writers_match_references(fm)
+    _assert_round_trip(fm)
     assert fracmatch_to_json(fm).startswith('{"edges":[],"gadget":')
 
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_fracmatch_writer_matches_the_reference_encoder(m):
     gadget = build_gadget(generate_yes(4, m, xi=F(1, 2), seed=m), F(1, 8))
-    _assert_writers_match_references(build_full(gadget))
+    _assert_round_trip(build_full(gadget))
 
 
 def test_fracmatch_writer_after_a_rescale():
     gadget = build_gadget(generate_yes(4, 3, xi=F(1, 4), seed=2), F(1, 8))
     fm = build_full(gadget)
     denominator = fm.denominator
-    fm.add(GadgetVertex(0, 0b001), GadgetVertex(0, 0b110), F(1, 3))
+    fm.add(GadgetVertex(0, 0b001), GadgetVertex(0, 0b110), F(1, 3))  # past the edge's capacity
     assert fm.denominator == 3 * denominator
-    _assert_writers_match_references(fm)
+    text = _assert_writers_match_references(fm)
+    with pytest.raises(SchemaError, match="over its capacity") as err:
+        loads(text)
+    assert err.value.path.startswith("$.edges[")
+    # two thirds of the full matching is valid and carries the same foreign denominator
+    scaled = FractionalMatching(gadget)
+    for u, v, value in build_full(gadget).support():
+        scaled.add(u, v, value * F(2, 3))
+    assert scaled.denominator == 3 * denominator
+    _assert_round_trip(scaled)
+
+
+def _export_refuses(tmp_path, capsys, payload):
+    """Run `export` on an edited fractional-matching payload; return its stderr."""
+    edited = tmp_path / "edited.json"
+    edited.write_text(canonical_json(payload))
+    capsys.readouterr()
+    assert main(["export", "--in", str(edited)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_cli_export_refuses_an_appended_row_off_the_gadget(tmp_path, capsys):
+    fm = tmp_path / "fm.json"
+    assert main(["fracmatch", "--in", str(_cli_gadget(tmp_path, 2)), "--out", str(fm)]) == 0
+    payload = json.loads(fm.read_text())
+    payload["edges"].append([encode_vertex(GadgetVertex(0, 0b01)), encode_vertex(GadgetVertex(1, 0b01)), "1/4"])
+    err = _export_refuses(tmp_path, capsys, payload)
+    assert f"(at $.edges[{len(payload['edges']) - 1}])" in err
+
+
+def test_cli_export_refuses_a_row_over_its_capacity(tmp_path, capsys):
+    fm = tmp_path / "fm.json"
+    assert main(["fracmatch", "--in", str(_cli_gadget(tmp_path, 2)), "--out", str(fm)]) == 0
+    payload = json.loads(fm.read_text())
+    payload["edges"][1][2] = "1"
+    err = _export_refuses(tmp_path, capsys, payload)
+    assert "over its capacity" in err and "(at $.edges[1])" in err
+
+
+def test_cli_export_refuses_a_negative_row(tmp_path, capsys):
+    fm = tmp_path / "fm.json"
+    assert main(["fracmatch", "--in", str(_cli_gadget(tmp_path, 2)), "--out", str(fm)]) == 0
+    payload = json.loads(fm.read_text())
+    payload["edges"][1][2] = "-1/4"
+    err = _export_refuses(tmp_path, capsys, payload)
+    assert "negative value '-1/4'" in err and "(at $.edges[1][2])" in err
+
+
+def test_cli_export_refuses_a_vertex_over_its_weight(tmp_path, capsys):
+    fm = tmp_path / "fm.json"
+    assert main(["fracmatch", "--in", str(_cli_gadget(tmp_path, 2)), "--out", str(fm)]) == 0
+    matching = loads(fm.read_text())
+    support = {(u, v) for u, v, _ in matching.support()}
+    u, v = next(e for e in matching.gadget.edges() if tuple(sorted(e)) not in support)
+    payload = json.loads(fm.read_text())
+    payload["edges"].append([encode_vertex(u), encode_vertex(v), "1/1000000"])  # within the edge's capacity
+    err = _export_refuses(tmp_path, capsys, payload)
+    saturated = [w for w in (u, v) if matching.load(w) == matching.gadget.vertex_weight(w)]
+    overloaded = min(saturated, key=matching.gadget.index)
+    assert f"vertex {overloaded.label()} has load" in err and err.rstrip().endswith("(at $.edges)")
 
 
 # sha256 of CLI output for `gen-ulc --num-vars 4 --num-colors M --xi 1/2

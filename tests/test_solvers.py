@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmmkit.bipartite import bipartise, random_planted_biclique, sseh_gadget
-from mmmkit.blowup import total_vertex_cover_check
+from mmmkit.blowup import blow_up, total_vertex_cover_check
 from mmmkit.gadget import build_gadget
 from mmmkit.graphs import (
     Bipartite,
@@ -19,6 +19,7 @@ from mmmkit.graphs import (
     verify_vertex_cover,
 )
 from mmmkit.solvers import (
+    _indexed,
     enumerate_maximal_matchings,
     exact_mbb,
     exact_min_total_vertex_cover,
@@ -534,8 +535,8 @@ def test_exact_min_total_vertex_cover_named_graphs(g, expected):
 
 
 def brute_total_vertex_cover(g):
-    """The subset search that the mask walk replaced, kept as its reference:
-    the first vertex subset, smallest first, that is a total cover."""
+    """The subset search that the cover search replaced, kept as its
+    reference: the first vertex subset, smallest first, that is a total cover."""
     verts = g.vertices()
     for k in range(len(verts) + 1):
         for subset in combinations(verts, k):
@@ -583,6 +584,45 @@ def test_total_cover_at_least_plain_cover():
         assert exact_min_total_vertex_cover(g).value >= exact_min_vertex_cover(g).value
 
 
-def test_total_cover_cap():
-    with pytest.raises(ValueError):
-        exact_min_total_vertex_cover(random_graph(17, 0.2, seed=0))
+def test_total_cover_budget():
+    # graphs over 16 vertices were once refused; the budget bounds them now
+    g = random_graph(17, 0.2, seed=0)
+    g.add_vertex(17)  # isolated, so no total cover holds it
+    settled = exact_min_total_vertex_cover(g)
+    assert settled.optimal and total_vertex_cover_check(g, settled.witness)
+    for limit in (0, 1, 5):
+        limited = exact_min_total_vertex_cover(g, node_limit=limit)
+        assert (limited.status, limited.nodes) == ("limit_reached", limit)
+        assert total_vertex_cover_check(g, limited.witness)
+        assert limited.value == len(limited.witness) >= settled.value
+    # the first cover is every vertex with a neighbour
+    assert exact_min_total_vertex_cover(g, node_limit=0).witness == tuple(v for v in g.vertices() if g.neighbors(v))
+
+
+def test_total_cover_settles_thirty_vertex_graphs():
+    values = []
+    for seed in range(5):
+        g = random_graph(30, 0.2, seed=seed)
+        result = exact_min_total_vertex_cover(g, node_limit=100_000)
+        assert result.optimal and total_vertex_cover_check(g, result.witness)
+        assert result.value == len(result.witness) >= exact_min_vertex_cover(g).value
+        values.append(result.value)
+    assert values == [20, 18, 18, 19, 18]
+
+
+def _lazy_graphs():
+    """Gadgets, blowups and doublings, as the library builds them lazily."""
+    for seed in range(3):
+        yield build_gadget(generate_yes(3, 2, xi=F(1, 2), seed=seed), F(1, 4))
+        yield blow_up(build_gadget(generate_yes(3, 1, seed=seed), F(1, 4)), F(3))
+        yield bipartise(random_graph(6, 0.5, seed=seed))
+
+
+@pytest.mark.parametrize("lazy", list(_lazy_graphs()), ids=lambda g: type(g).__name__)
+def test_lazy_graphs_index_like_their_copies(lazy):
+    # the solvers see a lazy graph exactly as its `to_graph()` copy
+    copy = lazy.to_graph()
+    assert _indexed(lazy) == _indexed(copy)
+    assert exact_mmm(lazy, node_limit=100_000) == exact_mmm(copy, node_limit=100_000)
+    assert exact_min_vertex_cover(lazy) == exact_min_vertex_cover(copy)
+    assert list(enumerate_maximal_matchings(lazy)) == list(enumerate_maximal_matchings(copy))

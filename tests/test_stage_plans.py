@@ -4,7 +4,6 @@ from itertools import combinations, permutations
 import pytest
 
 import mmmkit.gadget
-from mmmkit.bitsets import k_subset_masks
 from mmmkit.blowup import blow_up, discretize_matching
 from mmmkit.fracmatch import (
     build_complement_pairing,
@@ -21,6 +20,8 @@ from mmmkit.gadget import (
     yes_matching,
 )
 from mmmkit.ulc import generate_yes
+
+from test_bitsets import k_subset_masks
 
 F = Fraction
 
