@@ -16,7 +16,6 @@ balanced biclique of the original graph.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -115,8 +114,7 @@ def double_matching(bip: Bipartisation, matching: Iterable) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PathCycleDecomposition:
+class PathCycleDecomposition(NamedTuple):
     """Arc components of a doubled-graph matching, on base vertices.
 
     A path (v0, ..., vk) carries the arcs v0->v1->...->vk; a cycle
@@ -207,8 +205,7 @@ def cover_from_decomposition(base, decomp: PathCycleDecomposition) -> tuple:
     return tuple(cover)
 
 
-@dataclass(frozen=True)
-class SsehGadget:
+class SsehGadget(NamedTuple):
     """Padded bipartite complement on which small maximal matchings certify bicliques."""
 
     graph: Bipartite

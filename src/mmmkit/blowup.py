@@ -10,7 +10,6 @@ an honest maximal matching on the copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
@@ -146,8 +145,7 @@ def product_cover(blowup: BlowupGraph, base_cover: Iterable[GadgetVertex]) -> tu
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ProductVerdict:
+class ProductVerdict(NamedTuple):
     product: bool
     base_set: tuple[GadgetVertex, ...] | None
     witness: BlowupVertex | None
@@ -196,8 +194,7 @@ def minimalize_cover(graph: Graph, cover: Iterable) -> tuple:
 Run = tuple[GadgetVertex, int, GadgetVertex, int, int]
 
 
-@dataclass(frozen=True)
-class CopyMatching:
+class CopyMatching(NamedTuple):
     """Matching over blowup copies as runs: (u, cu, v, cv, count) stands for
     the pairs (u, cu + t) - (v, cv + t) for t < count.  Runs are sorted by
     the blowup index of their first end, and the ends' copy intervals are

@@ -240,8 +240,8 @@ def _cmd_verify_lemma(args) -> int:
     for lemma_id in ids:
         usable = dict(params)
         if args.lemma == "all":
-            defaults = LEMMAS[lemma_id][1]
-            usable = {k: v for k, v in params.items() if k in defaults}
+            spec = LEMMAS[lemma_id][1]
+            usable = {k: v for k, v in params.items() if k in spec}
         reports.append(verify_lemma(lemma_id, usable))
     if args.format == "json":
         payload = [r.to_payload() for r in reports]

@@ -8,15 +8,14 @@ export byte-identical CSV and JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .lemmas import LEMMAS, verify_lemma
 from .serialize import SCHEMA, SchemaError, canonical_json, rows_to_csv
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     name: str
     lemma: str
     grid: tuple[tuple[str, tuple], ...]  # sorted (param, values) pairs
@@ -73,8 +72,7 @@ class ExperimentConfig:
             raise SchemaError(str(exc), path) from None
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     config: ExperimentConfig
     rows: tuple[dict, ...]
 

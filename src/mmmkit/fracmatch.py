@@ -27,9 +27,9 @@ with another denominator is added), the stages add integer units, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .gadget import GadgetGraph, GadgetVertex, planted_independent_set, stage_plan
 
@@ -136,8 +136,7 @@ def combine(*parts: FractionalMatching) -> FractionalMatching:
     return out
 
 
-@dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(NamedTuple):
     """Exact per-vertex loads plus capacity and budget verdicts."""
 
     loads: dict[GadgetVertex, Fraction]

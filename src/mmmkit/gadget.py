@@ -22,6 +22,7 @@ from .ulc import MAX_COLORS, Planted, UlcInstance
 FLAVORS = ("base", "extended")
 EDGE_RULES = ("plus", "min")
 MAX_GRAPH_VERTICES = 200_000  # the largest gadget ``to_graph`` materializes
+MAX_PLAN_VERTICES = 1 << 21  # the largest gadget a stage plan walks: 8 variables at 18 colours
 
 
 class GadgetVertex(NamedTuple):
@@ -397,6 +398,8 @@ class StagePlan:
     def __init__(self, gadget: GadgetGraph) -> None:
         if gadget.flavor != "extended":
             raise ValueError("the saturation stages need the extended flavor (intra-cloud edges)")
+        if gadget.n_vertices > MAX_PLAN_VERTICES:
+            raise ValueError(f"stage plan over {gadget.n_vertices} vertices exceeds the cap {MAX_PLAN_VERTICES}")
         planted, full = gadget.planted, gadget.full_mask
         grounds = [
             full & ~(1 << planted.labelling[x]) if x in planted.core else full for x in range(gadget.num_vars)

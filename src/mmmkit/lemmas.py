@@ -9,55 +9,25 @@ quantity that broke.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
-from .bipartite import (
-    anti_biclique_bound,
-    bipartise,
-    cover_from_decomposition,
-    decompose,
-    double_matching,
-    random_planted_biclique,
-    sseh_gadget,
-    sseh_yes_matching,
-)
-from .blowup import (
-    blow_up,
-    blowup_maximality_check,
-    discretize_matching,
-    is_product_cover,
-    minimalize_cover,
-    total_vertex_cover_check,
-)
+# Each lemma imports the heavier modules it runs (bipartite, blowup,
+# solvers) in its own body, so a cold run of one lemma loads only those.
 from .fracmatch import build_full, validate
 from .gadget import build_gadget, planted_independent_set, yes_matching
-from .graphs import (
-    matched_vertices,
-    random_graph,
-    verify_maximal_matching,
-)
-from .solvers import (
-    enumerate_maximal_matchings,
-    exact_mbb,
-    exact_min_total_vertex_cover,
-    exact_min_vertex_cover,
-    exact_mmm,
-    greedy_maximal_matching,
-)
+from .graphs import matched_vertices, random_graph, verify_maximal_matching
 from .ulc import generate_yes
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     lemma: str
     params: dict
     checks: tuple[Check, ...]
@@ -94,10 +64,6 @@ class LemmaReport:
         return "\n".join(lines)
 
 
-def _frac(value) -> Fraction:
-    return Fraction(value)
-
-
 def _over_budget(budget: int, unit: str = "nodes", **ran_out: bool) -> str:
     """Name the searches that ran out of a budget of ``budget`` units, or give ''."""
     spent = [name for name, out in ran_out.items() if out]
@@ -105,14 +71,8 @@ def _over_budget(budget: int, unit: str = "nodes", **ran_out: bool) -> str:
 
 
 def _instance_and_gadget(p):
-    instance = generate_yes(
-        p["num_vars"],
-        p["num_colors"],
-        xi=_frac(p["xi"]),
-        topology="cycle",
-        seed=p["seed"],
-    )
-    return instance, build_gadget(instance, _frac(p["epsilon"]), "extended")
+    instance = generate_yes(p["num_vars"], p["num_colors"], xi=Fraction(p["xi"]), topology="cycle", seed=p["seed"])
+    return instance, build_gadget(instance, Fraction(p["epsilon"]), "extended")
 
 
 def _lemma_is_weight(p) -> list[Check]:
@@ -123,14 +83,8 @@ def _lemma_is_weight(p) -> list[Check]:
     checks = [Check("planted-set-independent", True, f"{len(ind.vertices)} vertices")]
     prob = Fraction(1, 2) - gadget.epsilon
     closed = Fraction(len(planted.core), instance.num_vars) * prob
-    checks.append(
-        Check(
-            "weight-closed-form",
-            ind.weight == closed,
-            f"weight {ind.weight} vs {closed}",
-        )
-    )
-    xi = _frac(p["xi"])
+    checks.append(Check("weight-closed-form", ind.weight == closed, f"weight {ind.weight} vs {closed}"))
+    xi = Fraction(p["xi"])
     floor_bound = (1 - xi) * prob
     ok = ind.weight >= floor_bound
     if xi == 0:
@@ -145,19 +99,12 @@ def _lemma_weighted_yes(p) -> list[Check]:
     matching = yes_matching(gadget)
     g = gadget.to_graph()
     maximal = verify_maximal_matching(g, matching)
-    checks = [
-        Check(
-            "matching-maximal",
-            bool(maximal),
-            f"{len(matching)} edges" if maximal else str(maximal.witness),
-        )
-    ]
+    detail = f"{len(matching)} edges" if maximal else str(maximal.witness)
+    checks = [Check("matching-maximal", bool(maximal), detail)]
     total = gadget.matching_weight(matching, "plus")
     ind = planted_independent_set(gadget)
-    checks.append(
-        Check("weight-complement", total + ind.weight == 1, f"{total} + {ind.weight}")
-    )
-    xi = _frac(p["xi"])
+    checks.append(Check("weight-complement", total + ind.weight == 1, f"{total} + {ind.weight}"))
+    xi = Fraction(p["xi"])
     if xi <= gadget.epsilon / 2:
         bound = Fraction(1, 2) + 2 * gadget.epsilon
         checks.append(Check("weight-upper-bound", total <= bound, f"{total} <= {bound}"))
@@ -166,6 +113,8 @@ def _lemma_weighted_yes(p) -> list[Check]:
 
 def _lemma_weighted_no(p) -> list[Check]:
     """Every maximal matching weighs 1 minus an independent leftover set."""
+    from .solvers import enumerate_maximal_matchings, exact_mmm
+
     instance, gadget = _instance_and_gadget(p)
     g = gadget.to_graph()
     verts = set(g.vertices())
@@ -197,13 +146,8 @@ def _lemma_weighted_no(p) -> list[Check]:
     ]
     exact = exact_mmm(g, weight=lambda u, v: gadget.edge_weight(u, v, "plus"), node_limit=limit)
     spent = "; ".join(s for s in (enumerated, _over_budget(limit, exact_mmm=not exact.optimal)) if s)
-    checks.append(
-        Check(
-            "exact-solvers-agree",
-            not spent and exact.value == lightest,
-            spent or f"branch and bound {exact.value}, enumeration {lightest}",
-        )
-    )
+    agreement = spent or f"branch and bound {exact.value}, enumeration {lightest}"
+    checks.append(Check("exact-solvers-agree", not spent and exact.value == lightest, agreement))
     return checks
 
 
@@ -219,47 +163,36 @@ def _lemma_saturation(p) -> list[Check]:
     ]
     planted = set(planted_independent_set(gadget).vertices)
     missing = {v for v, _ in report.unsaturated}
-    exact = missing == planted and all(
-        deficit == gadget.vertex_weight(v) for v, deficit in report.unsaturated
-    )
-    checks.append(
-        Check(
-            "saturation-outside-planted",
-            exact,
-            f"{len(report.saturated)} saturated, {len(report.unsaturated)} planted left dry",
-        )
-    )
+    exact = missing == planted and all(deficit == gadget.vertex_weight(v) for v, deficit in report.unsaturated)
+    dry = f"{len(report.saturated)} saturated, {len(report.unsaturated)} planted left dry"
+    checks.append(Check("saturation-outside-planted", exact, dry))
     return checks
 
 
 def _lemma_blowup_completeness(p) -> list[Check]:
     """Discretizing the fractional matching gives a small maximal matching of the blowup."""
+    from .blowup import blow_up, blowup_maximality_check, discretize_matching
+
     instance, gadget = _instance_and_gadget(p)
-    rho = _frac(p["rho"])
+    rho = Fraction(p["rho"])
     blowup = blow_up(gadget, rho)
     fm = build_full(gadget)
     matching = discretize_matching(fm, blowup)
     maximal = blowup_maximality_check(blowup, matching)
-    checks = [
-        Check(
-            "matching-maximal",
-            bool(maximal),
-            f"{len(matching)} edges on {blowup.n_vertices} vertices"
-            if maximal
-            else str(maximal.witness),
-        )
-    ]
+    detail = f"{len(matching)} edges on {blowup.n_vertices} vertices" if maximal else str(maximal.witness)
+    checks = [Check("matching-maximal", bool(maximal), detail)]
     bound = Fraction(blowup.n_vertices) * (Fraction(1, 2) + 2 * gadget.epsilon + rho)
-    checks.append(
-        Check("size-bound", 2 * len(matching) < bound, f"2*{len(matching)} < {bound}")
-    )
+    checks.append(Check("size-bound", 2 * len(matching) < bound, f"2*{len(matching)} < {bound}"))
     return checks
 
 
 def _lemma_blowup_soundness(p) -> list[Check]:
     """Maximal blowup matchings induce product covers at least as large as the optimum."""
+    from .blowup import blow_up, is_product_cover, minimalize_cover
+    from .solvers import enumerate_maximal_matchings, exact_min_vertex_cover
+
     instance, gadget = _instance_and_gadget(p)
-    blowup = blow_up(gadget, _frac(p["rho"]))
+    blowup = blow_up(gadget, Fraction(p["rho"]))
     g = blowup.to_graph()
     limit = p["budget"]
     vc = exact_min_vertex_cover(g, node_limit=limit)
@@ -290,6 +223,9 @@ def _lemma_blowup_soundness(p) -> list[Check]:
 
 def _lemma_path_cover(p) -> list[Check]:
     """Doubling and path/cycle covers tie maximal matchings to vertex covers."""
+    from .bipartite import bipartise, cover_from_decomposition, decompose, double_matching
+    from .solvers import exact_min_vertex_cover, exact_mmm, greedy_maximal_matching
+
     base = random_graph(p["n"], p["p"], seed=p["seed"])
     bip = bipartise(base)
     big = bip.to_graph()
@@ -324,73 +260,62 @@ def _lemma_path_cover(p) -> list[Check]:
         mmm = exact_mmm(big, node_limit=p["budget"])
         vc = exact_min_vertex_cover(base, node_limit=p["budget"])
         spent = _over_budget(p["budget"], exact_mmm=not mmm.optimal, exact_min_vertex_cover=not vc.optimal)
-        checks.append(
-            Check(
-                "doubled-minimum-vs-cover",
-                not spent and 3 * mmm.value >= 2 * vc.value,
-                spent or f"doubled minimum {mmm.value}, base cover {vc.value}",
-            )
-        )
+        detail = spent or f"doubled minimum {mmm.value}, base cover {vc.value}"
+        checks.append(Check("doubled-minimum-vs-cover", not spent and 3 * mmm.value >= 2 * vc.value, detail))
     return checks
 
 
 def _sseh_pieces(p):
-    eps = _frac(p["epsilon"])
+    from .bipartite import random_planted_biclique, sseh_gadget
+
+    eps = Fraction(p["epsilon"])
     original, k_a, k_b = random_planted_biclique(p["n"], eps, seed=p["seed"])
     return eps, original, k_a, k_b, sseh_gadget(original, eps)
 
 
 def _lemma_sseh_yes(p) -> list[Check]:
     """A planted biclique yields a maximal matching of size n (1 + 2 eps)."""
+    from .bipartite import sseh_yes_matching
+
     eps, original, k_a, k_b, gadget = _sseh_pieces(p)
     matching = sseh_yes_matching(gadget, k_a, k_b)
     target = Fraction(p["n"]) * (1 + 2 * eps)
-    checks = [
-        Check("size-equals-padded-target", len(matching) == target, f"{len(matching)} vs {target}")
-    ]
+    checks = [Check("size-equals-padded-target", len(matching) == target, f"{len(matching)} vs {target}")]
     g = gadget.graph.to_graph()
     maximal = verify_maximal_matching(g, matching)
-    checks.append(
-        Check("matching-maximal", bool(maximal), "" if maximal else str(maximal.witness))
-    )
+    checks.append(Check("matching-maximal", bool(maximal), "" if maximal else str(maximal.witness)))
     return checks
 
 
 def _lemma_sseh_no(p) -> list[Check]:
     """The biclique bound stays below the true matching minimum of the padded graph."""
+    from .bipartite import anti_biclique_bound
+    from .solvers import exact_mbb, exact_mmm
+
     eps, original, k_a, k_b, gadget = _sseh_pieces(p)
     mbb = exact_mbb(original, node_limit=p["budget"])
     bound = anti_biclique_bound(gadget, mbb.value)
     exact = exact_mmm(gadget.graph.to_graph(), node_limit=p["budget"])
     spent = _over_budget(p["budget"], exact_mbb=not mbb.optimal, exact_mmm=not exact.optimal)
-    checks = [
-        Check(
-            "bound-below-exact",
-            not spent and bound <= exact.value,
-            spent or f"bound {bound}, exact {exact.value}, biclique {mbb.value}",
-        )
-    ]
+    detail = spent or f"bound {bound}, exact {exact.value}, biclique {mbb.value}"
+    checks = [Check("bound-below-exact", not spent and bound <= exact.value, detail)]
     target = Fraction(p["n"]) * (1 + 2 * eps)
-    checks.append(
-        Check("yes-matching-attainable", exact.value <= target, f"{exact.value} <= {target}")
-    )
+    checks.append(Check("yes-matching-attainable", exact.value <= target, f"{exact.value} <= {target}"))
     return checks
 
 
 def _lemma_total_vc(p) -> list[Check]:
     """Matched sets dominate themselves; total covers are never smaller than covers."""
+    from .blowup import blow_up, discretize_matching, total_vertex_cover_check
+    from .solvers import exact_min_total_vertex_cover, exact_min_vertex_cover
+
     instance, gadget = _instance_and_gadget(p)
-    blowup = blow_up(gadget, _frac(p["rho"]))
+    blowup = blow_up(gadget, Fraction(p["rho"]))
     fm = build_full(gadget)
     matched = discretize_matching(fm, blowup).matched_vertices()
     verdict = total_vertex_cover_check(blowup, matched)
-    checks = [
-        Check(
-            "matched-set-total-cover",
-            bool(verdict),
-            f"{len(matched)} vertices" if verdict else str(verdict.witness),
-        )
-    ]
+    detail = f"{len(matched)} vertices" if verdict else str(verdict.witness)
+    checks = [Check("matched-set-total-cover", bool(verdict), detail)]
     ok = True
     detail = ""
     for t in range(p["trials"]):
@@ -406,72 +331,119 @@ def _lemma_total_vc(p) -> list[Check]:
         if tvc.value < vc.value:
             ok = False
             detail = f"trial {t}: total {tvc.value} below plain {vc.value}"
-    checks.append(
-        Check("total-cover-at-least-cover", ok, detail or f"{p['trials']} random graphs")
-    )
+    checks.append(Check("total-cover-at-least-cover", ok, detail or f"{p['trials']} random graphs"))
     return checks
 
 
+def _whole(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The kinds of lemma parameter: each takes a value and gives '' when it is
+# valid, or else what the parameter wants.
+def _size(value) -> str:
+    """Sizes, trial counts and budgets."""
+    return "" if _whole(value) and value >= 1 else "an int >= 1"
+
+
+def _seed(value) -> str:
+    return "" if _whole(value) and value >= 0 else "an int >= 0"
+
+
+def _rational(value) -> str:
+    if isinstance(value, (int, float, str, Fraction)) and not isinstance(value, bool):
+        try:
+            Fraction(value)
+            return ""
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    return "a rational such as 1/8"
+
+
+def _probability(value) -> str:
+    number = isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+    return "" if number and 0 <= value <= 1 else "a number in [0, 1]"
+
+
+def _flag(value) -> str:
+    return "" if isinstance(value, bool) or _whole(value) and value in (0, 1) else "true, false, 0 or 1"
+
+
+def _gadget_params(num_vars, num_colors, epsilon, xi, seed, **more) -> dict:
+    """The spec of a lemma run on a planted gadget, plus ``more``."""
+    return {
+        "num_vars": (num_vars, _size),
+        "num_colors": (num_colors, _size),
+        "epsilon": (epsilon, _rational),
+        "xi": (xi, _rational),
+        "seed": (seed, _seed),
+        **more,
+    }
+
+
+# lemma id -> (checks, parameter spec, description); the spec maps each
+# parameter to its default and its kind
 LEMMAS = {
     "is-weight": (
         _lemma_is_weight,
-        {"num_vars": 4, "num_colors": 2, "epsilon": "1/4", "xi": 0, "seed": 0},
+        _gadget_params(num_vars=4, num_colors=2, epsilon="1/4", xi=0, seed=0),
         "planted set independence and weight",
     ),
     "weighted-yes": (
         _lemma_weighted_yes,
-        {"num_vars": 4, "num_colors": 2, "epsilon": "1/4", "xi": 0, "seed": 0},
+        _gadget_params(num_vars=4, num_colors=2, epsilon="1/4", xi=0, seed=0),
         "planted maximal matching weight",
     ),
     "weighted-no": (
         _lemma_weighted_no,
-        {"num_vars": 3, "num_colors": 2, "epsilon": "1/4", "xi": 0, "seed": 0, "budget": 200_000},
+        _gadget_params(num_vars=3, num_colors=2, epsilon="1/4", xi=0, seed=0, budget=(200_000, _size)),
         "all maximal matchings complement an independent set",
     ),
     "saturation": (
         _lemma_saturation,
-        {"num_vars": 4, "num_colors": 3, "epsilon": "1/8", "xi": "1/4", "seed": 1},
+        _gadget_params(num_vars=4, num_colors=3, epsilon="1/8", xi="1/4", seed=1),
         "fractional matching saturates all but the planted set",
     ),
     "blowup-completeness": (
         _lemma_blowup_completeness,
-        {"num_vars": 3, "num_colors": 2, "epsilon": "1/4", "xi": 0, "seed": 0, "rho": "1/2"},
+        _gadget_params(num_vars=3, num_colors=2, epsilon="1/4", xi=0, seed=0, rho=("1/2", _rational)),
         "discretized matching is maximal and small",
     ),
     "blowup-soundness": (
         _lemma_blowup_soundness,
-        {"num_vars": 3, "num_colors": 1, "epsilon": "1/4", "xi": 0, "seed": 0, "rho": 3, "budget": 200_000},
+        _gadget_params(
+            num_vars=3, num_colors=1, epsilon="1/4", xi=0, seed=0, rho=(3, _rational), budget=(200_000, _size)
+        ),
         "maximal blowup matchings give product covers",
     ),
     "path-cover": (
         _lemma_path_cover,
-        {"n": 10, "p": 0.4, "seed": 0, "trials": 100, "budget": 2_000_000, "exact": True},
+        {
+            "n": (10, _size),
+            "p": (0.4, _probability),
+            "seed": (0, _seed),
+            "trials": (100, _size),
+            "budget": (2_000_000, _size),
+            "exact": (True, _flag),
+        },
         "doubling, decomposition, and the three-halves cover",
     ),
     "sseh-yes": (
         _lemma_sseh_yes,
-        {"n": 4, "epsilon": "1/4", "seed": 0},
+        {"n": (4, _size), "epsilon": ("1/4", _rational), "seed": (0, _seed)},
         "planted biclique gives a small maximal matching",
     ),
     "sseh-no": (
         _lemma_sseh_no,
-        {"n": 4, "epsilon": "1/4", "seed": 0, "budget": 5_000_000},
+        {"n": (4, _size), "epsilon": ("1/4", _rational), "seed": (0, _seed), "budget": (5_000_000, _size)},
         "biclique bound versus exact matching minimum",
     ),
     "total-vc": (
         _lemma_total_vc,
-        {
-            "num_vars": 3,
-            "num_colors": 2,
-            "epsilon": "1/4",
-            "xi": 0,
-            "seed": 0,
-            "rho": "1",
-            "n": 8,
-            "p": 0.5,
-            "trials": 20,
-            "budget": 200_000,
-        },
+        _gadget_params(
+            num_vars=3, num_colors=2, epsilon="1/4", xi=0, seed=0, rho=("1", _rational),
+            n=(8, _size), p=(0.5, _probability), trials=(20, _size), budget=(200_000, _size),
+        ),
         "matched sets as total vertex covers",
     ),
 }
@@ -482,15 +454,23 @@ def lemma_ids() -> tuple[str, ...]:
 
 
 def verify_lemma(lemma_id: str, params: dict | None = None) -> LemmaReport:
-    """Run one lemma's checks with defaults overridden by the given params."""
+    """Run one lemma's checks with defaults overridden by the given params.
+
+    Every parameter is checked against its kind in the lemma's spec first,
+    so a bad value raises ValueError naming the lemma and the parameter.
+    """
     if lemma_id not in LEMMAS:
         raise ValueError(f"unknown lemma {lemma_id!r}, expected one of {', '.join(LEMMAS)}")
-    func, defaults, _ = LEMMAS[lemma_id]
-    merged = dict(defaults)
+    func, spec, _ = LEMMAS[lemma_id]
+    merged = {key: default for key, (default, _) in spec.items()}
     for key, value in (params or {}).items():
-        if key not in defaults:
+        if key not in spec:
             raise ValueError(f"lemma {lemma_id!r} takes no parameter {key!r}")
         merged[key] = value
+    for key, value in merged.items():
+        wanted = spec[key][1](value)
+        if wanted:
+            raise ValueError(f"lemma {lemma_id} parameter {key} wants {wanted}, got {value!r}")
     start = time.perf_counter()
     checks = func(merged)
     runtime = time.perf_counter() - start

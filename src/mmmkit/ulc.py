@@ -10,10 +10,9 @@ every internal constraint is consistent with it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 MAX_COLORS = 30
 TOPOLOGIES = ("cycle", "complete", "random")
@@ -22,39 +21,59 @@ Permutation = tuple[int, ...]
 VarEdge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Planted:
+class Planted(NamedTuple):
     """A full labelling plus the core on which it is guaranteed consistent."""
 
     labelling: tuple[int, ...]
     core: frozenset[int]
 
 
-@dataclass(frozen=True)
-class TLabelling:
+class _Frozen:
+    """A record whose ``__init__`` checks and sets its fields, which then never change.
+    Equality, hash and repr run over the values named in ``_fields``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class TLabelling(_Frozen):
     """Assignment of equal-size colour subsets to variables."""
 
-    assignment: Mapping[int, frozenset[int]]
-    t: int
+    _fields = ("assignment", "t")
 
-    def __post_init__(self) -> None:
-        if self.t < 1:
+    def __init__(self, assignment: Mapping[int, frozenset[int]], t: int) -> None:
+        if t < 1:
             raise ValueError("t must be positive")
-        for x, subset in self.assignment.items():
-            if len(subset) != self.t:
-                raise ValueError(f"variable {x} has a subset of size {len(subset)}, expected {self.t}")
+        for x, subset in assignment.items():
+            if len(subset) != t:
+                raise ValueError(f"variable {x} has a subset of size {len(subset)}, expected {t}")
+        self.__dict__.update(assignment=assignment, t=t)
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     """Partition of the edges inside a variable subset by satisfaction."""
 
     satisfied: tuple[VarEdge, ...]
     violated: tuple[VarEdge, ...]
 
 
-@dataclass(frozen=True)
-class UlcInstance:
+class UlcInstance(_Frozen):
     """Immutable label cover instance.
 
     ``edges[i]`` is an ordered pair (x1, x2) with x1 < x2 and
@@ -64,16 +83,14 @@ class UlcInstance:
     bad plant raises ValueError here rather than in a later stage.
     """
 
-    num_vars: int
-    num_colors: int
-    edges: tuple[VarEdge, ...]
-    constraints: tuple[Permutation, ...]
-    planted: Planted | None = None
+    _fields = ("num_vars", "num_colors", "edges", "constraints", "planted")
 
-    def __post_init__(self) -> None:
-        if self.planted is None:
+    def __init__(self, num_vars: int, num_colors: int, edges: tuple[VarEdge, ...],
+                 constraints: tuple[Permutation, ...], planted: Planted | None = None) -> None:
+        self.__dict__.update(zip(self._fields, (num_vars, num_colors, edges, constraints, planted)))
+        if planted is None:
             return
-        labelling, core = self.planted.labelling, self.planted.core
+        labelling, core = planted.labelling, planted.core
         if len(labelling) != self.num_vars:
             raise ValueError("planted labelling does not cover every variable")
         for x, label in enumerate(labelling):

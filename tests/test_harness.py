@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mmmkit.cli import main
 from mmmkit.experiment import ExperimentConfig, run_experiment
+from mmmkit.gadget import MAX_PLAN_VERTICES
 from mmmkit.graphs import Graph, random_graph, verify_maximal_matching
 from mmmkit.lemmas import Check, LemmaReport, lemma_ids, verify_lemma
 from mmmkit.serialize import SCHEMA, SchemaError, canonical_json, graph_to_payload
@@ -64,6 +69,40 @@ def test_verify_lemma_rejects_unknown():
         verify_lemma("flux-capacitor")
     with pytest.raises(ValueError):
         verify_lemma("is-weight", {"warp": 9})
+
+
+@pytest.mark.parametrize(
+    "lemma_id, params",
+    [
+        ("is-weight", {"xi": "1/2", "epsilon": 0.125, "num_colors": 3}),
+        ("saturation", {"xi": F(1, 2), "seed": 2**31 - 1}),
+        ("path-cover", {"p": 1, "exact": 0, "trials": 1}),
+        ("path-cover", {"p": F(1, 3), "exact": False}),
+    ],
+)
+def test_lemma_parameters_of_every_kind_pass(lemma_id, params):
+    assert verify_lemma(lemma_id, params).ok
+
+
+@pytest.mark.parametrize(
+    "lemma_id, key, value, wants",
+    [
+        ("is-weight", "num_vars", True, "an int >= 1"),
+        ("is-weight", "num_colors", 2.0, "an int >= 1"),
+        ("is-weight", "seed", -1, "an int >= 0"),
+        ("is-weight", "epsilon", "1/0", "a rational such as 1/8"),
+        ("is-weight", "xi", float("nan"), "a rational such as 1/8"),
+        ("blowup-soundness", "rho", None, "a rational such as 1/8"),
+        ("path-cover", "p", 1.5, "a number in [0, 1]"),
+        ("path-cover", "p", float("nan"), "a number in [0, 1]"),
+        ("path-cover", "exact", "false", "true, false, 0 or 1"),
+        ("total-vc", "trials", 0, "an int >= 1"),
+    ],
+)
+def test_verify_lemma_refuses_a_parameter_outside_its_kind(lemma_id, key, value, wants):
+    with pytest.raises(ValueError) as raised:
+        verify_lemma(lemma_id, {key: value})
+    assert str(raised.value) == f"lemma {lemma_id} parameter {key} wants {wants}, got {value!r}"
 
 
 def test_report_rendering_and_payload():
@@ -202,6 +241,30 @@ def test_cli_refuses_a_thirty_colour_blowup_before_counting_its_clouds(tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("exceeding the cap 200000") == 2 and "Traceback" not in captured.err
+
+
+def test_cli_fracmatch_refuses_a_thirty_colour_gadget_before_planning_it(tmp_path):
+    inst, gadget = tmp_path / "inst.json", tmp_path / "gadget.json"
+    assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", "30", "--out", str(inst)) == 0
+    assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/4", "--out", str(gadget)) == 0
+    # a fresh interpreter held to 1 GiB of address space, so a plan that
+    # did get built would fail there instead of filling this machine
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from mmmkit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", code, "fracmatch", "--in", str(gadget), "--out", str(tmp_path / "fm.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: stage plan over {3 * 2**30} vertices exceeds the cap {MAX_PLAN_VERTICES}\n"
+    assert not (tmp_path / "fm.json").exists()
 
 
 def _edited_copy(path, edit, *keys):
@@ -559,6 +622,34 @@ def test_cli_verify_lemma_errors(capsys):
     assert "error:" in capsys.readouterr().err
     assert run_cli("verify-lemma", "is-weight", "--param", "nope") == 2
     assert "key=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lemma_id, param, wants",
+    [
+        ("is-weight", "num_vars=abc", "num_vars wants an int >= 1, got 'abc'"),
+        ("path-cover", "p=abc", "p wants a number in [0, 1], got 'abc'"),
+        ("total-vc", "trials=x", "trials wants an int >= 1, got 'x'"),
+        ("sseh-yes", "n=0", "n wants an int >= 1, got 0"),
+        ("sseh-no", "n=0", "n wants an int >= 1, got 0"),
+        ("weighted-no", "budget=-5", "budget wants an int >= 1, got -5"),
+    ],
+)
+def test_cli_verify_lemma_refuses_a_bad_parameter(capsys, lemma_id, param, wants):
+    assert run_cli("verify-lemma", lemma_id, "--param", param) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: lemma {lemma_id} parameter {wants}\n"
+
+
+def test_cli_experiment_refuses_a_bad_parameter(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    payload = {"schema": SCHEMA, "kind": "experiment_config", "name": "n0", "lemma": "sseh-yes", "grid": {"n": [4, 0]}}
+    config.write_text(canonical_json(payload))
+    assert run_cli("experiment", str(config)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lemma sseh-yes parameter n wants an int >= 1, got 0\n"
 
 
 def test_cli_experiment(tmp_path, capsys):

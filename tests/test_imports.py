@@ -25,8 +25,15 @@ def run_probe(code: str, *argv: str, cwd=None) -> subprocess.CompletedProcess:
 
 
 def loaded_by_cli(tmp_path, *argv: str) -> set[str]:
-    """The mmmkit submodules loaded once ``mmmkit.cli.main(argv)`` has run."""
-    code = f"import sys\nfrom mmmkit.cli import main\nassert main(sys.argv[1:]) == 0\n{REPORT}"
+    """The modules newly loaded once ``mmmkit.cli.main(argv)`` has run.
+
+    Modules the interpreter loaded at start-up (site packages included) are
+    left out, so none of them can hide a module the command itself loads.
+    """
+    code = (
+        "import sys\nbefore = set(sys.modules)\nfrom mmmkit.cli import main\nassert main(sys.argv[1:]) == 0\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
     return set(run_probe(code, *argv, cwd=tmp_path).stdout.split())
 
 
@@ -42,6 +49,16 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
     assert not build & (HEAVY | {"mmmkit.fracmatch"})
     assert not frac & HEAVY
     assert "mmmkit.fracmatch" in frac
+    assert "dataclasses" not in gen | build | frac
+
+
+def test_each_lemma_run_loads_only_its_lemma_modules(tmp_path):
+    lemma_modules = {f"mmmkit.{name}" for name in ("ulc", "graphs", "bitsets", "gadget", "fracmatch", "serialize")}
+    for lemma in ("saturation", "is-weight"):
+        loaded = loaded_by_cli(tmp_path, "verify-lemma", lemma, "--out", "report.txt")
+        assert not loaded & (HEAVY - {"mmmkit.lemmas"}), lemma
+        assert {m for m in loaded if m.startswith("mmmkit.")} == {"mmmkit.cli", "mmmkit.lemmas"} | lemma_modules
+        assert "dataclasses" not in loaded, lemma
 
 
 def test_star_import_binds_each_name_to_its_home_object():

@@ -19,6 +19,7 @@ from mmmkit.graphs import (
     verify_vertex_cover,
 )
 from mmmkit.solvers import (
+    SolveResult,
     _indexed,
     enumerate_maximal_matchings,
     exact_mbb,
@@ -626,3 +627,12 @@ def test_lazy_graphs_index_like_their_copies(lazy):
     assert exact_mmm(lazy, node_limit=100_000) == exact_mmm(copy, node_limit=100_000)
     assert exact_min_vertex_cover(lazy) == exact_min_vertex_cover(copy)
     assert list(enumerate_maximal_matchings(lazy)) == list(enumerate_maximal_matchings(copy))
+
+
+def test_solve_result_is_a_record_with_a_default_node_count():
+    result = SolveResult("optimal", 2, ((0, 1),))
+    assert result.nodes == 0 and result.optimal
+    assert result == SolveResult("optimal", 2, ((0, 1),), 0)
+    assert not SolveResult("limit_reached", 3, (), nodes=7).optimal
+    with pytest.raises(AttributeError):
+        result.nodes = 5

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mmmkit.serialize import dumps, loads
 from mmmkit.ulc import (
     Planted,
     TLabelling,
+    UlcInstance,
     check_labelling,
     check_t_labelling,
     generate_yes,
@@ -195,3 +197,47 @@ def test_with_planted_rejects_core_members_outside_the_variables(member):
     inst = new_instance(3, 2, [((0, 1), ID2)])
     with pytest.raises(ValueError, match="planted core names variable"):
         inst.with_planted(Planted((0, 0, 0), frozenset({member})))
+
+
+# -- record semantics: value equality, hash, repr and immutability ------------
+
+
+def test_instance_equals_and_hashes_like_its_round_trip():
+    inst = generate_yes(5, 3, xi=Fraction(2, 5), topology="random", seed=4, p_edge=0.5)
+    again = loads(dumps(inst))
+    assert again is not inst and again == inst and hash(again) == hash(inst)
+    assert len({inst, again}) == 1
+    bare = UlcInstance(inst.num_vars, inst.num_colors, inst.edges, inst.constraints)
+    assert bare != inst and bare == inst.with_planted(None)
+    assert inst != (inst.num_vars, inst.num_colors, inst.edges, inst.constraints, inst.planted)
+    assert repr(bare) == (
+        f"UlcInstance(num_vars=5, num_colors=3, edges={inst.edges!r}, "
+        f"constraints={inst.constraints!r}, planted=None)"
+    )
+
+
+def test_instance_fields_cannot_be_assigned_or_deleted():
+    inst = generate_yes(3, 2, seed=0)
+    with pytest.raises(AttributeError):
+        inst.num_vars = 4
+    with pytest.raises(AttributeError):
+        del inst.planted
+    with pytest.raises(AttributeError):
+        inst.extra = 1
+    assert inst.num_vars == 3 and inst.planted is not None
+    # the cached lookup tables still fill in after construction
+    x1, x2 = inst.edges[0]
+    assert inst.permutation_between(x2, x1)[inst.permutation_between(x1, x2)[0]] == 0
+
+
+def test_bad_plant_and_mixed_t_labelling_still_raise():
+    inst = new_instance(2, 2, [((0, 1), SWAP)])
+    with pytest.raises(ValueError, match="does not map"):
+        UlcInstance(2, 2, inst.edges, inst.constraints, Planted((0, 0), frozenset({0, 1})))
+    with pytest.raises(ValueError, match="expected 1"):
+        TLabelling({0: frozenset({0}), 1: frozenset({0, 1})}, t=1)
+    tl = TLabelling({0: frozenset({1})}, t=1)
+    assert tl == TLabelling({0: frozenset({1})}, t=1) != TLabelling({0: frozenset({0})}, t=1)
+    assert repr(tl) == "TLabelling(assignment={0: frozenset({1})}, t=1)"
+    with pytest.raises(AttributeError):
+        tl.t = 2
