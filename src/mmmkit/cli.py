@@ -8,42 +8,29 @@ verification ran and failed, 2 on usage errors or malformed input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .gadget import FLAVORS, build_gadget
-from .serialize import (
-    SCHEMA,
-    SchemaError,
-    bipartite_to_payload,
-    canonical_json,
-    dumps,
-    fracmatch_csv_rows,
-    from_payload,
-    gadget_from_payload,
-    gadget_to_payload,
-    graph_to_dot,
-    instance_from_payload,
-    instance_to_payload,
-    rows_to_csv,
-)
+from .serialize import canonical_json, loads, render, sseh_to_payload
 from .ulc import TOPOLOGIES, generate_yes
 
 # Only the parser and the light subcommands (gen-ulc, build-gadget, export)
 # import at module level; every other subcommand imports what it runs in its
 # handler, so a cold start loads no module its subcommand does not use.
-DOT_CAP = 10_000
 SOLVE_BUDGET = 1_000_000  # `solve` search nodes unless --budget says otherwise
-SOLVE_KINDS = ("graph", "gadget_graph", "blowup_graph", "bipartite", "sseh_gadget")
+GRAPH_KINDS = ("graph", "gadget_graph", "blowup_graph", "bipartite", "sseh_gadget")
 
 
-def _read_text(path: str) -> str:
+def _read(path: str, *kinds: str, needs: str = ""):
+    """The object the payload at ``path`` (``-`` for stdin) holds; see ``serialize.loads``."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return loads(text, *kinds, needs=needs)
 
 
 def _write_text(path: str | None, content: str) -> None:
@@ -56,12 +43,9 @@ def _write_text(path: str | None, content: str) -> None:
             fh.write(content)
 
 
-def _load_payload(path: str):
-    text = _read_text(path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+def _emit(args, obj, name: str = "G", weighted: bool = False) -> int:
+    _write_text(args.out, render(obj, args.format, name, weighted))
+    return 0
 
 
 def _parse_param_value(raw: str):
@@ -81,12 +65,6 @@ def _rational(flag: str, raw: str) -> Fraction:
         raise ValueError(f"{flag} wants a rational such as 1/8, got {raw!r}") from None
 
 
-def _dot_guard(obj) -> None:
-    n = getattr(obj, "n_vertices", None)
-    if n is not None and n > DOT_CAP:
-        raise ValueError(f"graph has {n} vertices; DOT output capped at {DOT_CAP}")
-
-
 def _cmd_gen_ulc(args) -> int:
     instance = generate_yes(
         args.num_vars,
@@ -96,75 +74,39 @@ def _cmd_gen_ulc(args) -> int:
         seed=args.seed,
         p_edge=args.p_edge,
     )
-    _write_text(args.out, canonical_json(instance_to_payload(instance)))
-    return 0
+    return _emit(args, instance)
 
 
 def _cmd_build_gadget(args) -> int:
-    instance = instance_from_payload(_load_payload(args.input))
+    instance = _read(args.input, "ulc_instance")
     gadget = build_gadget(instance, _rational("--epsilon", args.epsilon), args.flavor)
-    if args.format == "dot":
-        _dot_guard(gadget)
-        _write_text(args.out, graph_to_dot(gadget, name="gadget", weighted=True))
-    elif args.format == "json":
-        _write_text(args.out, canonical_json(gadget_to_payload(gadget)))
-    else:
-        raise ValueError(f"build-gadget cannot emit {args.format}")
-    return 0
+    return _emit(args, gadget, "gadget", weighted=True)
 
 
 def _cmd_fracmatch(args) -> int:
     from .fracmatch import build_full, validate
 
-    payload = _load_payload(args.input)
-    gadget = gadget_from_payload(payload)
-    fm = build_full(gadget)
+    fm = build_full(_read(args.input, "gadget_graph"))
     report = validate(fm)
     if not report.ok:
         print(f"error: fractional matching is invalid, nothing written: {report.first_violation()}",
               file=sys.stderr)
         return 1
-    if args.format == "json":
-        _write_text(args.out, dumps(fm))
-    elif args.format == "csv":
-        _write_text(args.out, rows_to_csv(("u", "v", "value"), fracmatch_csv_rows(fm)))
-    else:
-        raise ValueError(f"fracmatch cannot emit {args.format}")
-    return 0
+    return _emit(args, fm)
 
 
 def _cmd_blowup(args) -> int:
     from .blowup import blow_up
 
-    gadget = gadget_from_payload(_load_payload(args.input))
-    blowup = blow_up(gadget, _rational("--rho", args.rho))
-    if args.format == "dot":
-        _dot_guard(blowup)
-        _write_text(args.out, graph_to_dot(blowup, name="blowup"))
-    elif args.format == "json":
-        _write_text(args.out, dumps(blowup))
-    else:
-        raise ValueError(f"blowup cannot emit {args.format}")
-    return 0
+    gadget = _read(args.input, "gadget_graph")
+    return _emit(args, blow_up(gadget, _rational("--rho", args.rho)), "blowup")
 
 
 def _cmd_bipartise(args) -> int:
     from .bipartite import bipartise
-    from .graphs import Graph
 
-    payload = _load_payload(args.input)
-    base = from_payload(payload)
-    if not isinstance(base, Graph):
-        base = base.to_graph()
-    doubled = bipartise(base)
-    if args.format == "dot":
-        _dot_guard(doubled)
-        _write_text(args.out, graph_to_dot(doubled, name="doubled"))
-    elif args.format == "json":
-        _write_text(args.out, canonical_json(bipartite_to_payload(doubled.to_bipartite())))
-    else:
-        raise ValueError(f"bipartise cannot emit {args.format}")
-    return 0
+    base = _read(args.input, *GRAPH_KINDS, needs="bipartise needs a graph payload").to_graph()
+    return _emit(args, bipartise(base).to_bipartite(), "doubled")
 
 
 def _cmd_sseh(args) -> int:
@@ -174,43 +116,27 @@ def _cmd_sseh(args) -> int:
     original, k_a, k_b = random_planted_biclique(args.n, epsilon, seed=args.seed)
     gadget = sseh_gadget(original, epsilon)
     if args.format == "dot":
-        _write_text(args.out, graph_to_dot(gadget.graph, name="padded"))
-    elif args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "kind": "sseh_gadget",
-            "gadget": bipartite_to_payload(gadget.graph),
-            "original": bipartite_to_payload(original),
-            "planted_a": [list(v) for v in k_a],
-            "planted_b": [list(v) for v in k_b],
-        }
-        _write_text(args.out, canonical_json(payload))
-    else:
-        raise ValueError(f"sseh cannot emit {args.format}")
+        return _emit(args, gadget.graph, "padded")
+    _write_text(args.out, canonical_json(sseh_to_payload(gadget, k_a, k_b)))
     return 0
 
 
 def _cmd_solve(args) -> int:
-    from .graphs import Bipartite, Graph
+    from .graphs import Bipartite
     from .solvers import exact_mbb, exact_min_vertex_cover, exact_mmm
 
-    payload = _load_payload(args.input)
-    obj = from_payload(payload)
-    if payload["kind"] not in SOLVE_KINDS:
-        raise ValueError(f"solve {args.problem} needs a graph payload, got {payload['kind']}")
+    obj = _read(args.input, *GRAPH_KINDS, needs=f"solve {args.problem} needs a graph payload")
     if args.problem == "mbb":
         if not isinstance(obj, Bipartite):
             raise ValueError("mbb needs a bipartite payload")
         result = exact_mbb(obj, node_limit=args.budget)
         witness = [[list(map(str, v)) if isinstance(v, tuple) else str(v) for v in side] for side in result.witness]
+    elif args.problem == "mmm":
+        result = exact_mmm(obj.to_graph(), node_limit=args.budget)
+        witness = [[str(u), str(v)] for u, v in result.witness]
     else:
-        graph = obj if isinstance(obj, Graph) else obj.to_graph()
-        if args.problem == "mmm":
-            result = exact_mmm(graph, node_limit=args.budget)
-            witness = [[str(u), str(v)] for u, v in result.witness]
-        else:
-            result = exact_min_vertex_cover(graph, node_limit=args.budget)
-            witness = [str(v) for v in result.witness]
+        result = exact_min_vertex_cover(obj.to_graph(), node_limit=args.budget)
+        witness = [str(v) for v in result.witness]
     out = {
         "problem": args.problem,
         "status": result.status,
@@ -252,37 +178,15 @@ def _cmd_verify_lemma(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .experiment import ExperimentConfig, run_experiment
+    from .experiment import run_experiment
 
-    config = ExperimentConfig.from_payload(_load_payload(args.config))
-    result = run_experiment(config)
-    if args.format == "csv":
-        _write_text(args.out, result.to_csv())
-    elif args.format == "json":
-        _write_text(args.out, result.to_json())
-    else:
-        raise ValueError(f"experiment cannot emit {args.format}")
+    result = run_experiment(_read(args.config, "experiment_config"))
+    _write_text(args.out, result.to_csv() if args.format == "csv" else result.to_json())
     return 0 if result.ok else 1
 
 
 def _cmd_export(args) -> int:
-    payload = _load_payload(args.input)
-    obj = from_payload(payload)
-    if args.format == "json":
-        _write_text(args.out, dumps(obj))
-        return 0
-    if args.format == "dot":
-        _dot_guard(obj)
-        _write_text(args.out, graph_to_dot(obj))
-        return 0
-    if args.format == "csv":
-        from .fracmatch import FractionalMatching
-
-        if not isinstance(obj, FractionalMatching):
-            raise ValueError("CSV export is defined for fractional matchings only")
-        _write_text(args.out, rows_to_csv(("u", "v", "value"), fracmatch_csv_rows(obj)))
-        return 0
-    raise ValueError(f"unknown format {args.format!r}")
+    return _emit(args, _read(args.input))
 
 
 def _add_io(sub, default_format: str, formats: tuple[str, ...]) -> None:
@@ -373,7 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # a SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

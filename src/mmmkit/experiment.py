@@ -12,7 +12,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .lemmas import LEMMAS, verify_lemma
-from .serialize import SCHEMA, SchemaError, canonical_json, rows_to_csv
+from .serialize import SCHEMA, SchemaError, canonical_json, expect_kind, rows_to_csv
 
 
 class ExperimentConfig(NamedTuple):
@@ -23,7 +23,7 @@ class ExperimentConfig(NamedTuple):
 
     @staticmethod
     def create(name: str, lemma: str, grid: dict, fixed: dict | None = None) -> "ExperimentConfig":
-        if lemma not in LEMMAS:
+        if not (isinstance(lemma, str) and lemma in LEMMAS):
             raise ValueError(f"unknown lemma {lemma!r}")
         if not grid:
             raise ValueError("grid must name at least one parameter")
@@ -54,20 +54,17 @@ class ExperimentConfig(NamedTuple):
 
     @staticmethod
     def from_payload(payload, path: str = "$") -> "ExperimentConfig":
-        if not isinstance(payload, dict):
-            raise SchemaError("expected an object", path)
-        if payload.get("kind") != "experiment_config":
-            raise SchemaError(f"expected kind 'experiment_config', got {payload.get('kind')!r}", path)
+        expect_kind(payload, "experiment_config", path)
         for key in ("name", "lemma", "grid"):
             if key not in payload:
                 raise SchemaError(f"missing key {key!r}", path)
-        grid = payload["grid"]
-        if not isinstance(grid, dict):
+        grid, fixed = payload["grid"], payload.get("fixed") or {}
+        if not (isinstance(grid, dict) and all(isinstance(values, list) for values in grid.values())):
             raise SchemaError("grid must be an object of value lists", f"{path}.grid")
+        if not isinstance(fixed, dict):
+            raise SchemaError("fixed must be an object", f"{path}.fixed")
         try:
-            return ExperimentConfig.create(
-                payload["name"], payload["lemma"], grid, payload.get("fixed") or {}
-            )
+            return ExperimentConfig.create(payload["name"], payload["lemma"], grid, fixed)
         except ValueError as exc:
             raise SchemaError(str(exc), path) from None
 

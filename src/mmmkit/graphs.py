@@ -101,6 +101,9 @@ class Graph:
     def n_edges(self) -> int:
         return len(self._edge_list)
 
+    def to_graph(self) -> Graph:
+        return self
+
 
 class Bipartite:
     """Bipartite graph with explicit sides and deterministic order."""
@@ -134,6 +137,13 @@ class Bipartite:
 
     def has_edge(self, a: Vertex, b: Vertex) -> bool:
         return (a, b) in self._edge_set
+
+    def vertices(self) -> tuple[Vertex, ...]:
+        return self.left + self.right
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.left) + len(self.right)
 
     def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
         return iter(self._edge_list)

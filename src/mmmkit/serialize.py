@@ -18,15 +18,18 @@ from typing import TYPE_CHECKING, Iterable
 from .bitsets import elements_of, mask_of
 from .gadget import GadgetGraph, GadgetVertex, build_gadget
 from .graphs import Bipartite, Graph
-from .ulc import Planted, UlcInstance, new_instance
+from .ulc import MAX_COLORS, Planted, UlcInstance, new_instance
 
 # blowups, fractional matchings and bipartite vertices are imported where
-# they are built, so reading an instance or a gadget loads none of them
+# they are built, and told apart from other objects by class name, so
+# reading or writing an instance or a gadget loads none of them
 if TYPE_CHECKING:
+    from .bipartite import SsehGadget
     from .blowup import BlowupGraph
     from .fracmatch import FractionalMatching
 
 SCHEMA = "mmmkit/1"
+DOT_CAP = 10_000  # the most vertices a DOT rendering writes
 
 
 class SchemaError(ValueError):
@@ -84,10 +87,14 @@ def _expect_list(payload, key, path) -> list:
     return value
 
 
-def _expect_kind(payload, kind: str, path: str = "$") -> None:
+def expect_kind(payload, kind: str, path: str = "$") -> None:
+    """Refuse a payload whose ``kind`` is not ``kind`` or whose ``schema`` is not ours."""
     got = _expect(payload, "kind", path)
     if got != kind:
         raise SchemaError(f"expected kind {kind!r}, got {got!r}", f"{path}.kind")
+    schema = _expect(payload, "schema", path)
+    if schema != SCHEMA:
+        raise SchemaError(f"unsupported schema {schema!r}", f"{path}.schema")
 
 
 # -- vertices --------------------------------------------------------------
@@ -119,11 +126,16 @@ def decode_vertex(payload, path: str = "$"):
         colors = payload["colors"]
         if not isinstance(colors, list) or not all(_is_int(c) and c >= 0 for c in colors):
             raise SchemaError("colors must be a list of nonnegative integers", f"{path}.colors")
+        if colors and max(colors) >= MAX_COLORS:
+            raise SchemaError(f"colour {max(colors)} is out of range 0..{MAX_COLORS - 1}", f"{path}.colors")
         return GadgetVertex(payload["variable"], mask_of(colors))
     if "copy" in payload and "base" in payload:
         from .blowup import BlowupVertex
 
-        return BlowupVertex(decode_vertex(payload["base"], f"{path}.base"), payload["copy"])
+        base = decode_vertex(payload["base"], f"{path}.base")
+        if not isinstance(base, GadgetVertex):
+            raise SchemaError("a blowup vertex's base must be a gadget vertex", f"{path}.base")
+        return BlowupVertex(base, payload["copy"])
     if "side" in payload and "base" in payload:
         from .bipartite import BipVertex
 
@@ -158,7 +170,7 @@ def instance_to_payload(instance: UlcInstance) -> dict:
 
 
 def instance_from_payload(payload, path: str = "$") -> UlcInstance:
-    _expect_kind(payload, "ulc_instance", path)
+    expect_kind(payload, "ulc_instance", path)
     num_vars = _expect_int(payload, "num_vars", path)
     num_colors = _expect_int(payload, "num_colors", path)
     edges = _expect_list(payload, "edges", path)
@@ -199,7 +211,7 @@ def gadget_to_payload(gadget: GadgetGraph) -> dict:
 
 
 def gadget_from_payload(payload, path: str = "$") -> GadgetGraph:
-    _expect_kind(payload, "gadget_graph", path)
+    expect_kind(payload, "gadget_graph", path)
     instance = instance_from_payload(_expect(payload, "instance", path), f"{path}.instance")
     epsilon = parse_fraction(_expect(payload, "epsilon", path), f"{path}.epsilon")
     return build_gadget(instance, epsilon, _expect(payload, "flavor", path))
@@ -217,7 +229,7 @@ def blowup_to_payload(blowup: BlowupGraph) -> dict:
 def blowup_from_payload(payload, path: str = "$") -> BlowupGraph:
     from .blowup import blow_up
 
-    _expect_kind(payload, "blowup_graph", path)
+    expect_kind(payload, "blowup_graph", path)
     gadget = gadget_from_payload(_expect(payload, "gadget", path), f"{path}.gadget")
     return blow_up(gadget, parse_fraction(_expect(payload, "rho", path), f"{path}.rho"))
 
@@ -266,7 +278,7 @@ def _edge_ends(edge, sizes: tuple[int, int], path: str) -> tuple[int, int]:
 
 
 def graph_from_payload(payload, path: str = "$") -> Graph:
-    _expect_kind(payload, "graph", path)
+    expect_kind(payload, "graph", path)
     verts = _vertex_list(payload, "vertices", path, set())
     g = Graph(vertices=verts)
     for i, edge in enumerate(_expect_list(payload, "edges", path)):
@@ -288,7 +300,7 @@ def bipartite_to_payload(bip: Bipartite) -> dict:
 
 
 def bipartite_from_payload(payload, path: str = "$") -> Bipartite:
-    _expect_kind(payload, "bipartite", path)
+    expect_kind(payload, "bipartite", path)
     seen: set = set()  # shared, so a vertex on both sides is a duplicate too
     left = _vertex_list(payload, "left", path, seen)
     right = _vertex_list(payload, "right", path, seen)
@@ -299,9 +311,21 @@ def bipartite_from_payload(payload, path: str = "$") -> Bipartite:
     return bp
 
 
+def sseh_to_payload(gadget: SsehGadget, planted_a, planted_b) -> dict:
+    """The bundle of a padded gadget, its original graph and the biclique planted there."""
+    return {
+        "schema": SCHEMA,
+        "kind": "sseh_gadget",
+        "gadget": bipartite_to_payload(gadget.graph),
+        "original": bipartite_to_payload(gadget.original),
+        "planted_a": [list(v) for v in planted_a],
+        "planted_b": [list(v) for v in planted_b],
+    }
+
+
 def sseh_from_payload(payload, path: str = "$") -> Bipartite:
     """The padded gadget graph of a bundle; original and planted sides stay payload-only."""
-    _expect_kind(payload, "sseh_gadget", path)
+    expect_kind(payload, "sseh_gadget", path)
     return bipartite_from_payload(_expect(payload, "gadget", path), f"{path}.gadget")
 
 
@@ -334,17 +358,10 @@ def fracmatch_to_json(fm: FractionalMatching) -> str:
     return f'{{"edges":[{edges}],"gadget":{gadget},"kind":"fractional_matching","schema":"{SCHEMA}"}}'
 
 
-def fracmatch_csv_rows(fm: FractionalMatching) -> list[dict]:
-    """The support as ``rows_to_csv`` rows of vertex labels and value."""
-    return [
-        {"u": f"({x},{{{c}}})", "v": f"({y},{{{d}}})", "value": value} for x, c, y, d, value in _support_text(fm)
-    ]
-
-
 def fracmatch_from_payload(payload, path: str = "$") -> FractionalMatching:
     from .fracmatch import FractionalMatching, validate
 
-    _expect_kind(payload, "fractional_matching", path)
+    expect_kind(payload, "fractional_matching", path)
     gadget = gadget_from_payload(_expect(payload, "gadget", path), f"{path}.gadget")
     fm = FractionalMatching(gadget)
     seen: dict[tuple[GadgetVertex, GadgetVertex], int] = {}  # edge -> its row
@@ -375,6 +392,12 @@ def fracmatch_from_payload(payload, path: str = "$") -> FractionalMatching:
     return fm
 
 
+def experiment_config_from_payload(payload, path: str = "$"):
+    from .experiment import ExperimentConfig
+
+    return ExperimentConfig.from_payload(payload, path)
+
+
 # -- dispatch --------------------------------------------------------------
 
 _DECODERS = {
@@ -385,48 +408,74 @@ _DECODERS = {
     "graph": graph_from_payload,
     "bipartite": bipartite_from_payload,
     "sseh_gadget": sseh_from_payload,
+    "experiment_config": experiment_config_from_payload,
+}
+_ENCODERS = {
+    "UlcInstance": instance_to_payload,
+    "GadgetGraph": gadget_to_payload,
+    "BlowupGraph": blowup_to_payload,
+    "Graph": graph_to_payload,
+    "Bipartite": bipartite_to_payload,
 }
 
 
 def to_payload(obj) -> dict:
     """The payload of any object but a fractional matching (``dumps`` writes those)."""
-    from .blowup import BlowupGraph
-
-    for cls, encoder in (
-        (UlcInstance, instance_to_payload),
-        (GadgetGraph, gadget_to_payload),
-        (BlowupGraph, blowup_to_payload),
-        (Graph, graph_to_payload),
-        (Bipartite, bipartite_to_payload),
-    ):
-        if isinstance(obj, cls):
-            return encoder(obj)
-    raise SchemaError(f"no JSON encoding for {type(obj).__name__}")
+    encoder = _ENCODERS.get(type(obj).__name__)
+    if encoder is None:
+        raise SchemaError(f"no JSON encoding for {type(obj).__name__}")
+    return encoder(obj)
 
 
 def from_payload(payload, path: str = "$"):
+    """The object a payload holds; its decoder checks ``kind`` and ``schema``
+    at this level and at every nested one."""
     kind = _expect(payload, "kind", path)
-    schema = _expect(payload, "schema", path)
-    if schema != SCHEMA:
-        raise SchemaError(f"unsupported schema {schema!r}", f"{path}.schema")
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
+    if not (isinstance(kind, str) and kind in _DECODERS):
         raise SchemaError(f"unknown kind {kind!r}", f"{path}.kind")
-    return decoder(payload, path)
+    return _DECODERS[kind](payload, path)
 
 
-def loads(text: str):
+def loads(text: str, *kinds: str, needs: str = ""):
+    """The object one JSON payload holds.
+
+    With ``kinds``, a payload of any other kind is refused before anything
+    of it is decoded; ``needs`` words that refusal as "<needs>, got <kind>".
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
+    kind = _expect(payload, "kind", "$")
+    if kinds and kind not in kinds:
+        expected = needs or "expected kind " + " or ".join(map(repr, kinds))
+        got = kind if needs and str(kind).isidentifier() else repr(kind)  # quoted unless a plain name
+        raise SchemaError(f"{expected}, got {got}", "$.kind")
     return from_payload(payload)
 
 
 def dumps(obj) -> str:
-    from .fracmatch import FractionalMatching
+    if type(obj).__name__ == "FractionalMatching":
+        return fracmatch_to_json(obj)
+    return canonical_json(to_payload(obj))
 
-    return fracmatch_to_json(obj) if isinstance(obj, FractionalMatching) else canonical_json(to_payload(obj))
+
+def render(obj, fmt: str, name: str = "G", weighted: bool = False) -> str:
+    """``obj`` as text in ``fmt``: canonical JSON, DOT for a graph of at most
+    ``DOT_CAP`` vertices, or CSV for a fractional matching."""
+    if fmt == "json":
+        return dumps(obj)
+    if fmt == "csv":
+        if type(obj).__name__ != "FractionalMatching":
+            raise ValueError("CSV export is defined for fractional matchings only")
+        rows = ({"u": f"({x},{{{c}}})", "v": f"({y},{{{d}}})", "value": value} for x, c, y, d, value in _support_text(obj))
+        return rows_to_csv(("u", "v", "value"), rows)
+    n = getattr(obj, "n_vertices", None)
+    if n is None:
+        raise ValueError(f"DOT output is defined for graphs only, not {type(obj).__name__}")
+    if n > DOT_CAP:
+        raise ValueError(f"graph has {n} vertices; DOT output capped at {DOT_CAP}")
+    return graph_to_dot(obj, name, weighted)
 
 
 # -- DOT and CSV -----------------------------------------------------------
@@ -438,13 +487,8 @@ def _vertex_label(v) -> str:
 
 
 def graph_to_dot(graph, name: str = "G", weighted: bool = False) -> str:
-    """Render any graph-protocol object (or a Bipartite) as undirected DOT."""
-    if hasattr(graph, "vertices"):
-        verts = list(graph.vertices())
-        edges = graph.edges()
-    else:
-        verts = list(graph.left) + list(graph.right)
-        edges = graph.edges()
+    """Render any object with ``vertices`` and ``edges`` as undirected DOT."""
+    verts = list(graph.vertices())
     ids = {v: f"v{i}" for i, v in enumerate(verts)}
     weight_of = getattr(graph, "vertex_weight", None)
     lines = [f"graph {name} {{"]
@@ -453,7 +497,7 @@ def graph_to_dot(graph, name: str = "G", weighted: bool = False) -> str:
         if weighted and weight_of is not None:
             attrs.append(f'weight="{frac_str(weight_of(v))}"')
         lines.append(f"  {ids[v]} [{', '.join(attrs)}];")
-    for u, v in edges:
+    for u, v in graph.edges():
         lines.append(f"  {ids[u]} -- {ids[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -165,14 +165,16 @@ def test_experiment_config_payload_round_trip():
     config = ExperimentConfig.create("sweep", "is-weight", {"seed": [0, 1]}, fixed={"xi": "1/4"})
     again = ExperimentConfig.from_payload(config.to_payload())
     assert again == config
-    with pytest.raises(SchemaError):
-        ExperimentConfig.from_payload({"kind": "experiment_config"})
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="missing key 'name'"):
+        ExperimentConfig.from_payload({"schema": SCHEMA, "kind": "experiment_config"})
+    with pytest.raises(SchemaError, match="expected kind 'experiment_config', got 'other'"):
         ExperimentConfig.from_payload({"kind": "other"})
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="grid must be an object of value lists"):
         ExperimentConfig.from_payload(
-            {"kind": "experiment_config", "name": "x", "lemma": "is-weight", "grid": []}
+            {"schema": SCHEMA, "kind": "experiment_config", "name": "x", "lemma": "is-weight", "grid": []}
         )
+    with pytest.raises(SchemaError, match="unsupported schema 'mmmkit/0'"):
+        ExperimentConfig.from_payload(dict(config.to_payload(), schema="mmmkit/0"))
 
 
 # -- command line ----------------------------------------------------------
@@ -395,6 +397,7 @@ def _graph_file(tmp_path, vertices, edges, kind="graph"):
         ({"vertices": [{"variable": [0], "colors": []}]}, [], "is not hashable"),
         ({"vertices": 5}, [], "vertices must be a list"),
         ({"vertices": [0, 1]}, 5, "edges must be a list"),
+        ({"vertices": [{"base": 0, "copy": 1}]}, [], "a blowup vertex's base must be a gadget vertex (at $.vertices[0].base)"),
     ],
 )
 def test_cli_solve_rejects_malformed_graph_payloads(tmp_path, capsys, vertices, edges, message):
@@ -485,6 +488,119 @@ def test_cli_solve_rejects_payloads_that_are_not_graphs(tmp_path, capsys, proble
         assert captured.out == ""
         assert f"error: solve {problem} needs a graph payload, got {kind}" in captured.err
         assert "Traceback" not in captured.err
+
+
+@pytest.fixture(scope="module")
+def payload_files(tmp_path_factory):
+    """One file of each payload kind the pipeline writes, by kind."""
+    tmp_path = tmp_path_factory.mktemp("payloads")
+    gadget = _gadget_file(tmp_path)
+    files = {"ulc_instance": tmp_path / "inst.json", "gadget_graph": gadget}
+    for kind, argv in (
+        ("blowup_graph", ("blowup", "--in", str(gadget), "--rho", "1")),
+        ("fractional_matching", ("fracmatch", "--in", str(gadget))),
+        ("sseh_gadget", ("sseh", "--n", "4", "--epsilon", "1/4")),
+    ):
+        files[kind] = tmp_path / f"{kind}.json"
+        assert run_cli(*argv, "--out", str(files[kind])) == 0
+    return files
+
+
+@pytest.mark.parametrize("kind", ["ulc_instance", "fractional_matching"])
+def test_cli_bipartise_refuses_payloads_that_are_not_graphs(payload_files, capsys, kind):
+    assert run_cli("bipartise", "--in", str(payload_files[kind])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bipartise needs a graph payload, got {kind} (at $.kind)\n"
+
+
+@pytest.mark.parametrize("command", [("bipartise",), ("solve", "mmm")])
+def test_cli_quotes_a_refused_kind_that_is_not_a_plain_name(tmp_path, capsys, command):
+    path = tmp_path / "odd.json"
+    path.write_text(canonical_json({"schema": SCHEMA, "kind": "a\nb"}))
+    assert run_cli(command[0], *command[1:], "--in", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {' '.join(command)} needs a graph payload, got 'a\\nb' (at $.kind)\n"
+
+
+@pytest.mark.parametrize("kind, name", [("ulc_instance", "UlcInstance"), ("fractional_matching", "FractionalMatching")])
+def test_cli_export_refuses_dot_for_payloads_that_are_not_graphs(payload_files, capsys, kind, name):
+    assert run_cli("export", "--in", str(payload_files[kind]), "--format", "dot") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: DOT output is defined for graphs only, not {name}\n"
+
+
+SCHEMA_EDITS = {"wrong": lambda node: node.__setitem__("schema", "mmmkit/0"), "missing": lambda node: node.pop("schema")}
+
+
+@pytest.mark.parametrize("edit", sorted(SCHEMA_EDITS))
+@pytest.mark.parametrize(
+    "command, kind, keys",
+    [
+        (("build-gadget", "--epsilon", "1/4"), "ulc_instance", ()),
+        (("fracmatch",), "gadget_graph", ()),
+        (("fracmatch",), "gadget_graph", ("instance",)),
+        (("blowup", "--rho", "1"), "gadget_graph", ()),
+        (("blowup", "--rho", "1"), "gadget_graph", ("instance",)),
+        (("bipartise",), "blowup_graph", ()),
+        (("bipartise",), "blowup_graph", ("gadget", "instance")),
+        (("solve", "mmm"), "sseh_gadget", ()),
+        (("solve", "mbb"), "sseh_gadget", ("gadget",)),
+        (("solve", "vc"), "blowup_graph", ("gadget",)),
+        (("export",), "fractional_matching", ()),
+        (("export",), "fractional_matching", ("gadget",)),
+        (("export", "--format", "dot"), "gadget_graph", ("instance",)),
+        (("export",), "sseh_gadget", ("gadget",)),
+    ],
+)
+def test_cli_refuses_a_wrong_or_missing_schema_at_every_level(payload_files, capsys, command, kind, keys, edit):
+    path = _edited_copy(payload_files[kind], SCHEMA_EDITS[edit], *keys)
+    assert run_cli(command[0], "--in", str(path), *command[1:]) == 2
+    captured = capsys.readouterr()
+    where = "$" + "".join(f".{key}" for key in keys)
+    assert captured.out == ""
+    if edit == "wrong":
+        assert captured.err == f"error: unsupported schema 'mmmkit/0' (at {where}.schema)\n"
+    else:
+        assert captured.err == f"error: missing key 'schema' (at {where})\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("wrong", "unsupported schema 'mmmkit/0' (at $.schema)"),
+        ("missing", "missing key 'schema' (at $)"),
+    ],
+)
+def test_cli_experiment_refuses_a_wrong_or_missing_schema(tmp_path, capsys, edit, message):
+    config = tmp_path / "config.json"
+    payload = ExperimentConfig.create("sweep", "is-weight", {"seed": [0]}).to_payload()
+    SCHEMA_EDITS[edit](payload)
+    config.write_text(canonical_json(payload))
+    assert run_cli("experiment", str(config)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"grid": {"seed": 5}}, "grid must be an object of value lists (at $.grid)"),
+        ({"lemma": ["is-weight"]}, "unknown lemma ['is-weight'] (at $)"),
+        ({"fixed": [1]}, "fixed must be an object (at $.fixed)"),
+    ],
+)
+def test_cli_experiment_refuses_a_mistyped_config_field(tmp_path, capsys, edit, message):
+    config = tmp_path / "config.json"
+    payload = ExperimentConfig.create("sweep", "is-weight", {"seed": [0]}).to_payload()
+    config.write_text(canonical_json(dict(payload, **edit)))
+    assert run_cli("experiment", str(config)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_solve_mmm_over_sixty_vertices_stops_at_its_budget(tmp_path, capsys):
@@ -739,6 +855,7 @@ BAD_COLOURS = "colors must be a list of nonnegative integers (at $.edges[0][0].c
         (7, OUTSIDE),
         ({"variable": 0, "colors": [True]}, BAD_COLOURS),
         ({"variable": 0, "colors": [-1]}, BAD_COLOURS),
+        ({"variable": 0, "colors": [10**18]}, f"colour {10**18} is out of range 0..29 (at $.edges[0][0].colors)"),
     ],
 )
 def test_cli_export_rejects_a_fracmatch_row_outside_its_gadget(tmp_path, capsys, end, message):
@@ -747,7 +864,8 @@ def test_cli_export_rejects_a_fracmatch_row_outside_its_gadget(tmp_path, capsys,
     assert run_cli("export", "--in", str(fm)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_export_rejects_the_matching_kind(tmp_path, capsys):

@@ -18,13 +18,13 @@ from mmmkit.serialize import (
     dumps,
     encode_vertex,
     frac_str,
-    fracmatch_csv_rows,
     fracmatch_to_json,
     from_payload,
     gadget_to_payload,
     graph_to_dot,
     loads,
     parse_fraction,
+    render,
     rows_to_csv,
     to_payload,
 )
@@ -76,6 +76,14 @@ def test_decode_vertex_rejects_junk():
         decode_vertex(None)
     with pytest.raises(SchemaError):
         decode_vertex({"variable": 0, "colors": "abc"})
+
+
+def test_loads_refuses_a_colour_beyond_the_colour_cap():
+    payload = json.loads(dumps(build_full(build_gadget(generate_yes(3, 2, seed=0), F(1, 4)))))
+    payload["edges"][0][0]["colors"] = [10**18]  # as a mask, 1 << 10**18 exhausts memory
+    with pytest.raises(SchemaError, match=f"colour {10**18} is out of range 0..29") as err:
+        loads(canonical_json(payload))
+    assert err.value.path == "$.edges[0][0].colors"
 
 
 def test_instance_round_trip():
@@ -141,6 +149,8 @@ def test_from_payload_schema_checks():
         from_payload({"kind": "wat", "schema": SCHEMA})
     with pytest.raises(SchemaError):
         from_payload({"schema": SCHEMA})
+    with pytest.raises(SchemaError, match=r"unknown kind \['graph'\]"):
+        from_payload({"kind": ["graph"], "schema": SCHEMA})
     with pytest.raises(SchemaError):
         loads("{not json")
     with pytest.raises(SchemaError):
@@ -217,7 +227,7 @@ def _assert_writers_match_references(fm):
     text = fracmatch_to_json(fm)
     assert text == reference_fracmatch_json(fm)
     assert dumps(fm) == text
-    assert rows_to_csv(("u", "v", "value"), fracmatch_csv_rows(fm)) == reference_fracmatch_csv(fm)
+    assert render(fm, "csv") == reference_fracmatch_csv(fm)
     return text
 
 
