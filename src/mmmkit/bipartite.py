@@ -21,7 +21,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import Bipartite, Graph, verify_matching, verify_vertex_cover
 
-SIDES = ("l", "r")
 MAX_GRAPH_VERTICES = 10_000  # the largest doubling ``to_graph`` materializes
 
 
@@ -48,27 +47,10 @@ class Bipartisation:
         for v in self._base_verts:
             yield BipVertex("r", v)
 
-    def index(self, v: BipVertex) -> int:
-        base_idx = self.base.index(v.base)
-        return base_idx if v.side == "l" else self.n_base + base_idx
-
-    def __contains__(self, v) -> bool:
-        return (
-            isinstance(v, tuple)
-            and len(v) == 2
-            and v[0] in SIDES
-            and v[1] in self.base
-        )
-
     def has_edge(self, u: BipVertex, v: BipVertex) -> bool:
         if u.side == v.side:
             return False
         return self.base.has_edge(u.base, v.base)
-
-    def neighbors(self, v: BipVertex) -> Iterator[BipVertex]:
-        other = "r" if v.side == "l" else "l"
-        for w in self.base.neighbors(v.base):
-            yield BipVertex(other, w)
 
     def edges(self) -> Iterator[tuple[BipVertex, BipVertex]]:
         for u, v in self.base.edges():

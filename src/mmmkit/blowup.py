@@ -97,11 +97,6 @@ class BlowupGraph:
             return False
         return self.gadget.has_edge(u.base, v.base)
 
-    def neighbors(self, v: BlowupVertex) -> Iterator[BlowupVertex]:
-        for w in self.gadget.neighbors(v.base):
-            for i in range(self.copies_by_size[w.subset.bit_count()]):
-                yield BlowupVertex(w, i)
-
     def edges(self) -> Iterator[tuple[BlowupVertex, BlowupVertex]]:
         for u, v in self.gadget.edges():
             cu = self.copies_by_size[u.subset.bit_count()]
@@ -333,12 +328,21 @@ def blowup_maximality_check(blowup: BlowupGraph, matching: CopyMatching | Iterab
 
 
 def total_vertex_cover_check(graph, vertex_set: Iterable) -> CheckResult:
-    """True iff the set is a vertex cover and every member has a neighbor in the set."""
+    """True iff the set is a vertex cover and every member has a neighbor in the set.
+
+    One pass over the edges returns on the first uncovered edge, and strikes
+    both ends of every edge inside the set off the members still lonely.
+    """
     chosen = set(vertex_set)
-    covered = verify_vertex_cover(graph, chosen)
-    if not covered:
-        return covered
+    lonely = set(chosen)
+    for u, v in graph.edges():
+        if u in chosen:
+            if v in chosen:
+                lonely.discard(u)
+                lonely.discard(v)
+        elif v not in chosen:
+            return CheckResult(False, (u, v), "uncovered edge")
     for v in chosen:
-        if not any(w in chosen for w in graph.neighbors(v)):
+        if v in lonely:
             return CheckResult(False, v, "member without a neighbor in the set")
     return CheckResult(True)

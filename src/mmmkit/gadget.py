@@ -2,10 +2,13 @@
 
 Every variable of a label cover instance becomes a cloud of 2^|R| vertices,
 one per colour subset, weighted so that smaller subsets are heavier and the
-whole graph weighs exactly 1.  Cross-cloud edges join subset pairs that fail
-the constraint between their variables; the extended flavor adds intra-cloud
-edges between disjoint subsets.  Adjacency is rule-generated, so graphs are
-cheap to build and edges are enumerated lazily.
+whole graph weighs exactly 1.  One edge rule joins two clouds x1, x2: S1 at
+x1 and S2 at x2 are adjacent when pi(S1) and S2 are disjoint, for pi the
+constraint between them.  The constraint edges are joined that way, and the
+extended flavor also joins each cloud to itself with pi the identity, which
+gives its edges between disjoint subsets.  Adjacency is rule-generated, so
+graphs are cheap to build, and ``edges()`` lists the partners of S1 as the
+submasks of the complement of pi(S1), visiting only the edges themselves.
 """
 
 from __future__ import annotations
@@ -79,7 +82,15 @@ class GadgetGraph:
         if any(w.denominator != 1 for w in scaled):
             raise AssertionError(f"weights {self.weight_by_size} are not integers over {self.denominator}")
         self.units_by_size = tuple(int(w) for w in scaled)
-        self._image_tables: dict[tuple[int, int], list[int]] = {}
+        # the joined cloud pairs in edge order, each with its image table:
+        # every cloud with itself through the identity in the extended
+        # flavor, then the constraint edges as the instance stores them,
+        # whose tables are built on first use (``()`` until then)
+        intra = range(self.num_vars) if flavor == "extended" else ()
+        self._images: dict[tuple[int, int], Sequence[int]] = dict.fromkeys(
+            ((x, x) for x in intra), range(self.cloud_size)
+        )
+        self._images.update(dict.fromkeys(instance.edges, ()))
         self._planted_set: PlantedIndependentSet | None = None
         self._stage_plan: StagePlan | None = None
 
@@ -127,35 +138,30 @@ class GadgetGraph:
 
     # -- adjacency ---------------------------------------------------------
 
-    def _image_table(self, x1: int, x2: int) -> list[int]:
+    def _image_table(self, x1: int, x2: int) -> Sequence[int]:
         """image[S] = bit mask of the constraint images of S's colours, for
-        the stored orientation x1 -> x2 with x1 < x2."""
-        key = (x1, x2)
-        table = self._image_tables.get(key)
-        if table is None:
+        the joined pair x1 -> x2 with x1 <= x2 (the identity when x1 == x2)."""
+        table = self._images[(x1, x2)]
+        if not table:
             perm = self.instance.permutation_between(x1, x2)
             table = [0] * self.cloud_size
             for s in range(1, self.cloud_size):
                 low = s & -s
                 table[s] = table[s ^ low] | (1 << perm[low.bit_length() - 1])
-            self._image_tables[key] = table
+            self._images[(x1, x2)] = table
         return table
 
-    def constraint_failed(self, x1: int, s1: int, x2: int, s2: int) -> bool:
-        """True when the pair (s1 at x1, s2 at x2) leaves the constraint
-        unsatisfied, i.e. no colour of s1 maps into s2."""
-        if x1 > x2:
-            x1, x2, s1, s2 = x2, x1, s2, s1
-        return self._image_table(x1, x2)[s1] & s2 == 0
-
     def has_edge(self, u: GadgetVertex, v: GadgetVertex) -> bool:
-        if u == v:
+        """The one edge rule: the clouds are joined, the ends are distinct,
+        and no colour of the lower end's subset maps into the other's."""
+        x1, s1 = u
+        x2, s2 = v
+        if x2 < x1:
+            x1, s1, x2, s2 = x2, s2, x1, s1
+        image = self._images.get((x1, x2))
+        if image is None:
             return False
-        if u.variable == v.variable:
-            return self.flavor == "extended" and (u.subset & v.subset) == 0
-        if not self.instance.has_constraint_edge(u.variable, v.variable):
-            return False
-        return self.constraint_failed(u.variable, u.subset, v.variable, v.subset)
+        return (image or self._image_table(x1, x2))[s1] & s2 == 0 and (x1 != x2 or s1 != s2)
 
     def edge_within(
         self, vertices: Iterable[GadgetVertex]
@@ -163,68 +169,45 @@ class GadgetGraph:
         """An edge with both ends in ``vertices``, or None when they are
         independent.
 
-        A member s of cloud x2 is adjacent to s1 of a constrained cloud x1
-        exactly when s lies below full ^ image(s1), and to another member t
-        of its own cloud (extended flavor) exactly when it lies below
-        full ^ t; so one down-closure table per cloud answers for every
-        member at once, in O(m * 2^m) per cloud instead of a scan over member
-        pairs.  Only the empty set's lookup can return the member itself,
-        and every other member's lookup then finds at least the empty set,
-        so a cloud holding it and anything else is caught too.  Clouds,
-        constraint edges and members are visited in sorted order, so the
-        witness is deterministic.
+        A member s of cloud x2 is adjacent to s1 of a joined cloud x1 exactly
+        when s lies below full ^ image(s1), so one down-closure table per
+        cloud answers for every member at once, in O(m * 2^m) per cloud
+        instead of a scan over member pairs.  Inside a cloud only the empty
+        set's lookup can return the member itself, and every other member's
+        lookup then finds at least the empty set, so a cloud holding it and
+        anything else is caught too.  Joined pairs are visited in edge order
+        and members in sorted order, so the witness is deterministic; it is
+        given lower index first.
         """
         clouds: dict[int, set[int]] = {}
         for x, s in vertices:
             clouds.setdefault(x, set()).add(s)
         tables = {x: down_closure(members, self.num_colors) for x, members in clouds.items()}
         full = self.full_mask
-        if self.flavor == "extended":
-            for x in sorted(clouds):
-                table = tables[x]
-                for s in sorted(clouds[x]):
-                    t = table[full ^ s]
-                    if t >= 0 and t != s:
-                        return (GadgetVertex(x, min(s, t)), GadgetVertex(x, max(s, t)))
-        for x1, x2 in sorted(self.instance.edges):
+        for x1, x2 in self._images:
             if x1 not in clouds or x2 not in clouds:
                 continue
             image = self._image_table(x1, x2)
             table = tables[x2]
             for s1 in sorted(clouds[x1]):
                 s2 = table[full ^ image[s1]]
-                if s2 >= 0:
-                    return (GadgetVertex(x1, s1), GadgetVertex(x2, s2))
+                if s2 >= 0 and (x1 != x2 or s2 != s1):
+                    return tuple(sorted((GadgetVertex(x1, s1), GadgetVertex(x2, s2))))
         return None
 
-    def neighbors(self, v: GadgetVertex) -> Iterator[GadgetVertex]:
-        if self.flavor == "extended":
-            free = self.full_mask & ~v.subset
-            for s in sorted(submasks(free)):
-                if s != v.subset:  # excludes v itself, possible only when v.subset == 0
-                    yield GadgetVertex(v.variable, s)
-        for x1, x2 in self.instance.edges:
-            other = x2 if x1 == v.variable else x1 if x2 == v.variable else None
-            if other is None:
-                continue
-            for s in range(self.cloud_size):
-                if self.constraint_failed(v.variable, v.subset, other, s):
-                    yield GadgetVertex(other, s)
-
     def edges(self) -> Iterator[tuple[GadgetVertex, GadgetVertex]]:
-        """All edges, lazily; deterministic order, lower index first per pair."""
-        if self.flavor == "extended":
-            for x in range(self.num_vars):
-                for s1 in range(self.cloud_size):
-                    free = self.full_mask & ~s1
-                    for s2 in sorted(submasks(free)):
-                        if s2 > s1:
-                            yield (GadgetVertex(x, s1), GadgetVertex(x, s2))
-        for x1, x2 in self.instance.edges:
+        """All edges, lazily, lower index first: joined pair by joined pair,
+        each s1 in ascending order with its partners, the submasks of
+        full ^ image(s1), in ascending order; inside a cloud only those
+        above s1, so each edge comes once."""
+        full = self.full_mask
+        for x1, x2 in self._images:
+            image = self._image_table(x1, x2)
             for s1 in range(self.cloud_size):
-                for s2 in range(self.cloud_size):
-                    if self.constraint_failed(x1, s1, x2, s2):
-                        yield (GadgetVertex(x1, s1), GadgetVertex(x2, s2))
+                u = GadgetVertex(x1, s1)
+                for s2 in sorted(submasks(full ^ image[s1])):
+                    if x1 != x2 or s2 > s1:
+                        yield (u, GadgetVertex(x2, s2))
 
     # -- edge weights ------------------------------------------------------
 

@@ -2,9 +2,9 @@
 
 The checks in this module are deliberately independent of the constructions
 they validate: they only look at the graph through a tiny protocol
-(``vertices()``, ``edges()``, ``has_edge``, ``neighbors``, and ``edge_within``
-where a graph offers one), so the same code verifies materialized graphs and
-the lazily generated reduction graphs.
+(``vertices()``, ``edges()``, ``has_edge``, and ``edge_within`` where a graph
+offers one), so the same code verifies materialized graphs and the lazily
+generated reduction graphs.
 """
 
 from __future__ import annotations

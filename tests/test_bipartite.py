@@ -42,14 +42,11 @@ def test_doubling_structure():
     bip = bipartise(path(3))
     verts = list(bip.vertices())
     assert len(verts) == bip.n_vertices == 6
-    assert [bip.index(v) for v in verts] == list(range(6))
+    assert verts == [BipVertex(side, v) for side in "lr" for v in range(3)]
     assert bip.has_edge(BipVertex("l", 0), BipVertex("r", 1))
     assert bip.has_edge(BipVertex("r", 0), BipVertex("l", 1))
     assert not bip.has_edge(BipVertex("l", 0), BipVertex("l", 1))
     assert not bip.has_edge(BipVertex("l", 0), BipVertex("r", 0))
-    assert BipVertex("l", 2) in bip
-    assert BipVertex("x", 2) not in bip
-    assert BipVertex("l", 7) not in bip
 
 
 def test_doubling_edge_count_and_views():
@@ -61,8 +58,11 @@ def test_doubling_edge_count_and_views():
     assert g.n_edges == 2 * base.n_edges
     bp = bip.to_bipartite()
     assert bp.n_edges == 2 * base.n_edges
-    for v in bip.vertices():
-        assert set(bip.neighbors(v)) == {u for u in bip.vertices() if bip.has_edge(v, u)}
+    # in order: both orientations of each base edge; as a set: the all-pairs has_edge scan
+    assert edges == [(BipVertex("l", a), BipVertex("r", b)) for u, v in base.edges() for a, b in ((u, v), (v, u))]
+    verts = list(bip.vertices())
+    scan = {(u, v) for u in verts for v in verts if bip.has_edge(u, v)}
+    assert scan == set(edges) | {(v, u) for u, v in edges}
 
 
 def test_double_matching_doubles_and_preserves_maximality():

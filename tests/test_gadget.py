@@ -89,11 +89,14 @@ def test_cross_cloud_adjacency_swap_constraint():
     assert gadget.has_edge(GadgetVertex(0, 0b01), GadgetVertex(1, 0b01))
 
 
-def test_constraint_failed_orientation_symmetric():
-    gadget = build_gadget(two_var_instance(SWAP), F(1, 4))
-    for s1 in range(4):
-        for s2 in range(4):
-            assert gadget.constraint_failed(0, s1, 1, s2) == gadget.constraint_failed(1, s2, 0, s1)
+def test_has_edge_orientation_symmetric():
+    perm = (1, 2, 0)
+    gadget = build_gadget(new_instance(2, 3, [((0, 1), perm)]), F(1, 4))
+    for s1 in range(8):
+        for s2 in range(8):
+            u, v = GadgetVertex(0, s1), GadgetVertex(1, s2)
+            failed = not any(s1 >> c & 1 and s2 >> perm[c] & 1 for c in range(3))
+            assert gadget.has_edge(u, v) == gadget.has_edge(v, u) == failed
 
 
 def test_intra_cloud_edges_require_extended_flavor():
@@ -116,22 +119,39 @@ def test_unrelated_variables_never_adjacent():
     assert not gadget.has_edge(GadgetVertex(0, 0), GadgetVertex(2, 0))
 
 
-@pytest.mark.parametrize("flavor", ["base", "extended"])
-def test_edges_and_neighbors_agree_with_adjacency(flavor):
-    inst = generate_yes(3, 2, seed=2)
-    gadget = build_gadget(inst, F(1, 8), flavor=flavor)
+EDGE_ORDER_INSTANCES = {
+    "cycle": generate_yes(3, 2, seed=2),
+    "complete": generate_yes(4, 3, xi=F(1, 4), topology="complete", seed=5),
+    # stored out of sorted order, so the edge order is the stored one
+    "unsorted": new_instance(
+        4, 3, [((2, 3), (1, 2, 0)), ((0, 1), (0, 1, 2)), ((1, 3), (2, 0, 1)), ((0, 2), (1, 0, 2))]
+    ),
+}
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("name", sorted(EDGE_ORDER_INSTANCES))
+def test_edges_list_the_all_pairs_has_edge_scan_in_order(name, flavor):
+    """``edges()`` is the all-pairs ``has_edge`` scan, lower index first, in
+    its documented order: each cloud with itself (extended flavor only), then
+    the constraint edges as stored, and within a cloud pair by (s1, s2)."""
+    gadget = build_gadget(EDGE_ORDER_INSTANCES[name], F(1, 8), flavor=flavor)
     verts = list(gadget.vertices())
-    by_rule = {
-        (u, v)
-        for i, u in enumerate(verts)
-        for v in verts[i + 1 :]
-        if gadget.has_edge(u, v)
-    }
-    listed = list(gadget.edges())
-    assert len(listed) == len(set(listed))
-    assert {(u, v) if gadget.index(u) < gadget.index(v) else (v, u) for u, v in listed} == by_rule
-    for v in verts:
-        assert set(gadget.neighbors(v)) == {u for u in verts if gadget.has_edge(v, u)}
+    scan = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :] if gadget.has_edge(u, v)]
+    assert all(gadget.has_edge(v, u) for u, v in scan)
+    assert not any(gadget.has_edge(v, v) for v in verts)
+    clouds = list(range(gadget.num_vars)) if flavor == "extended" else []
+    joined = [(x, x) for x in clouds] + list(gadget.instance.edges)
+    pair_rank = {pair: i for i, pair in enumerate(joined)}
+    in_order = sorted(scan, key=lambda e: (pair_rank[(e[0].variable, e[1].variable)], e[0].subset, e[1].subset))
+    assert list(gadget.edges()) == in_order
+    for u, v in scan:  # inside a cloud the rule is disjointness, the identity map
+        if u.variable == v.variable:
+            assert u.subset & v.subset == 0
+    for x in clouds:
+        for s in range(gadget.cloud_size):
+            for t in range(s + 1, gadget.cloud_size):
+                assert gadget.has_edge(GadgetVertex(x, s), GadgetVertex(x, t)) == (s & t == 0)
 
 
 def test_to_graph_materializes_same_edges():
