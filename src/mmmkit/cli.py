@@ -49,12 +49,15 @@ def _emit(args, obj, name: str = "G", weighted: bool = False) -> int:
 
 
 def _parse_param_value(raw: str):
-    if raw.lstrip("-").isdigit():
-        return int(raw)
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+    """A ``--param`` value: an int or a float where Python reads one, a flag
+    for true or false, else the text; the lemma's parameter spec judges it."""
+    text = raw.strip()
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return {"true": True, "false": False}.get(text.lower(), text)
 
 
 def _rational(flag: str, raw: str) -> Fraction:
@@ -156,7 +159,7 @@ def _cmd_verify_lemma(args) -> int:
         if "=" not in item:
             raise ValueError(f"--param wants key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        params[key] = _parse_param_value(raw)
+        params[key.strip()] = _parse_param_value(raw)
     if args.seed is not None:
         params["seed"] = args.seed
     if args.budget is not None:

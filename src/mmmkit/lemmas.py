@@ -300,7 +300,9 @@ def _lemma_sseh_no(p) -> list[Check]:
     detail = spent or f"bound {bound}, exact {exact.value}, biclique {mbb.value}"
     checks = [Check("bound-below-exact", not spent and bound <= exact.value, detail)]
     target = Fraction(p["n"]) * (1 + 2 * eps)
-    checks.append(Check("yes-matching-attainable", exact.value <= target, f"{exact.value} <= {target}"))
+    attained = exact.value <= target
+    detail = f"{exact.value} <= {target}" if attained or exact.optimal else _over_budget(p["budget"], exact_mmm=True)
+    checks.append(Check("yes-matching-attainable", attained, detail))
     return checks
 
 

@@ -324,9 +324,37 @@ def sseh_to_payload(gadget: SsehGadget, planted_a, planted_b) -> dict:
 
 
 def sseh_from_payload(payload, path: str = "$") -> Bipartite:
-    """The padded gadget graph of a bundle; original and planted sides stay payload-only."""
+    """The padded gadget graph of a bundle, checked whole: the original has
+    two sides of n >= 1 vertices, the planted sides list distinct vertices
+    of its two sides, as many on each, whose pairs are all its edges, and
+    the gadget is ``sseh_gadget`` of the original with eps = pad / n - 1/2."""
+    from .bipartite import sseh_gadget
+
     expect_kind(payload, "sseh_gadget", path)
-    return bipartite_from_payload(_expect(payload, "gadget", path), f"{path}.gadget")
+    gadget = bipartite_from_payload(_expect(payload, "gadget", path), f"{path}.gadget")
+    original = bipartite_from_payload(_expect(payload, "original", path), f"{path}.original")
+    n = len(original.left)
+    if n < 1 or len(original.right) != n:
+        raise SchemaError(f"original sides must have one size n >= 1, got {n} and {len(original.right)}",
+                          f"{path}.original")
+    planted = []
+    for key, side in (("planted_a", original.left), ("planted_b", original.right)):
+        forms = [list(v) for v in side if isinstance(v, tuple)]  # as sseh_to_payload writes them
+        listed = _expect_list(payload, key, path)
+        for i, raw in enumerate(listed):
+            if raw not in forms or raw in listed[:i]:
+                raise SchemaError(f"{raw!r} is not a distinct vertex of the original's side", f"{path}.{key}[{i}]")
+        planted.append([tuple(raw) for raw in listed])
+    a, b = planted
+    if len(a) != len(b) or not all(original.has_edge(u, v) for u in a for v in b):
+        raise SchemaError("planted sides differ in size or span a non-edge of the original", f"{path}.planted_b")
+    try:
+        rebuilt = sseh_gadget(original, Fraction(len(gadget.left) - n, n) - Fraction(1, 2)).graph
+    except ValueError as exc:
+        raise SchemaError(f"gadget does not pad the original: {exc}", f"{path}.gadget") from None
+    if (rebuilt.left, rebuilt.right) != (gadget.left, gadget.right) or set(rebuilt.edges()) != set(gadget.edges()):
+        raise SchemaError("gadget is not the padded complement of the original", f"{path}.gadget")
+    return gadget
 
 
 def _support_text(fm: FractionalMatching) -> list[tuple[int, str, int, str, str]]:

@@ -126,10 +126,6 @@ class UlcInstance(_Frozen):
             out.append(tuple(inv))
         return tuple(out)
 
-    def has_constraint_edge(self, x1: int, x2: int) -> bool:
-        a, b = (x1, x2) if x1 < x2 else (x2, x1)
-        return (a, b) in self._edge_index
-
     def permutation_between(self, x1: int, x2: int) -> Permutation:
         """Permutation mapping colours at x1 to colours at x2."""
         a, b = (x1, x2) if x1 < x2 else (x2, x1)

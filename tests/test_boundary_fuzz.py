@@ -1,9 +1,10 @@
-"""The command line's payload boundary: a malformed payload exits 2, never a traceback.
+"""The command line's boundary: a malformed input exits 2, never a traceback.
 
 One tiny valid payload of each kind is mutated once: a key is deleted, or
 the value at one key path, nested paths included, is replaced by a small
 JSON value.  Every subcommand that reads a payload then runs on it in
 process; each must return 0 or 2, and on 2 write exactly one ``error:`` line.
+Every lemma parameter is fuzzed the same way with short ``--param`` texts.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from mmmkit.blowup import BlowupVertex, blow_up
 from mmmkit.fracmatch import build_full
 from mmmkit.gadget import GadgetVertex, build_gadget
 from mmmkit.graphs import Graph
+from mmmkit.lemmas import LEMMAS
 from mmmkit.serialize import dumps, sseh_to_payload, to_payload
 from mmmkit.ulc import generate_yes
 
@@ -101,11 +103,13 @@ def mutated(draw):
 PARSER = cli.build_parser()  # built once: building it is most of the cost of a call
 
 
-def assert_every_command_exits_0_or_2(path) -> None:
+def assert_every_command_exits_0_or_2(path) -> list[int]:
     """Run every command on the payload at ``path``; a refusal is one ``error:`` line.
 
     ``solve`` out of budget exits 2 with its report on stdout, as documented.
+    Gives the exit statuses in command order.
     """
+    codes = []
     for command in COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with mock.patch.object(cli, "build_parser", return_value=PARSER):
@@ -115,6 +119,8 @@ def assert_every_command_exits_0_or_2(path) -> None:
         if code == 2 and not (command[0] == "solve" and '"status":"limit_reached"' in out.getvalue()):
             assert out.getvalue() == "", command
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (command, err.getvalue())
+        codes.append(code)
+    return codes
 
 
 @pytest.mark.parametrize("kind", sorted(SEEDS))
@@ -124,9 +130,75 @@ def test_every_valid_payload_exits_0_or_2_with_one_error_line(tmp_path, kind):
     assert_every_command_exits_0_or_2(path)
 
 
+def _broken_sseh_bundles() -> dict:
+    """The seed bundle (n = 4, eps = 1/4, one planted pair) with one part broken."""
+    bundle = SEEDS["sseh_gadget"]
+    original, gadget = bundle["original"], bundle["gadget"]
+    left, right = original["left"], original["right"]
+    plant = [bundle["planted_a"][0][1], bundle["planted_b"][0][1]]  # the planted pair's side indices
+    spare = next(i for i in range(4) if i != plant[0])
+    non_edge = next([i, j] for i in range(4) for j in range(4) if [i, j] not in original["edges"])
+    other_edge = next(e for e in original["edges"] if e != plant)
+    pads = len(gadget["left"]) - 1  # the last pad vertex of each side
+    cases = {
+        "original-not-an-object": {"original": 5, "planted_a": "x"},
+        "original-empty": {"original": {**original, "left": [], "right": [], "edges": []}},
+        "original-sides-unequal": {
+            "original": {**original, "right": right[:3], "edges": [e for e in original["edges"] if e[1] < 3]}
+        },
+        "planted-a-not-a-list": {"planted_a": "x"},
+        "planted-a-on-the-right": {"planted_a": bundle["planted_b"]},
+        "planted-a-repeated": {"planted_a": bundle["planted_a"] * 2, "planted_b": bundle["planted_b"] * 2},
+        "planted-sides-unequal": {"planted_a": [*bundle["planted_a"], ["a", spare]]},
+        "planted-pair-not-an-edge": {"planted_a": [left[non_edge[0]]["tuple"]], "planted_b": [right[non_edge[1]]["tuple"]]},
+        "original-edge-dropped": {"original": {**original, "edges": [e for e in original["edges"] if e != other_edge]}},
+        "gadget-edge-dropped": {"gadget": {**gadget, "edges": gadget["edges"][:-1]}},
+        "gadget-pad-too-small": {
+            "gadget": {
+                **gadget,
+                "left": gadget["left"][:pads],
+                "right": gadget["right"][:pads],
+                "edges": [e for e in gadget["edges"] if e[0] < pads and e[1] < pads],
+            }
+        },
+    }
+    return {name: {**bundle, **change} for name, change in cases.items()}
+
+
+BROKEN_SSEH = _broken_sseh_bundles()
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_SSEH))
+def test_every_command_refuses_a_broken_sseh_bundle(tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(BROKEN_SSEH[case]), encoding="utf-8")
+    assert assert_every_command_exits_0_or_2(path) == [2] * len(COMMANDS)
+
+
 @settings(derandomize=True, max_examples=250, deadline=None, database=None)
 @given(mutated())
 def test_every_malformed_payload_exits_0_or_2_with_one_error_line(tmp_path_factory, payload):
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert_every_command_exits_0_or_2(path)
+
+
+LEMMA_PARAMS = [(lemma_id, key) for lemma_id, (_, spec, _) in LEMMAS.items() for key in spec]
+# a stub for every lemma, so only the parsing and the spec check run: a valid
+# value may be far too large for the lemma itself
+STUBBED = {lemma_id: (lambda p: [], spec, about) for lemma_id, (_, spec, about) in LEMMAS.items()}
+
+
+@pytest.mark.parametrize("lemma_id, key", LEMMA_PARAMS)
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(text=st.text(alphabet="0123456789+-/._eE ainfrtux²٣", max_size=6))
+def test_every_lemma_parameter_text_exits_0_or_2_naming_the_parameter(lemma_id, key, text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(LEMMAS, STUBBED), mock.patch.object(cli, "build_parser", return_value=PARSER):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify-lemma", lemma_id, "--param", f"{key}={text}"])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(f"error: lemma {lemma_id} parameter {key} wants "), err.getvalue()
+        assert err.getvalue().count("\n") == 1

@@ -694,6 +694,10 @@ def test_sseh_no_budget_reaches_both_searches(capsys):
     assert run_cli("verify-lemma", "sseh-no", "--budget", "3") == 1
     out = capsys.readouterr().out
     assert "[FAIL] bound-below-exact: exact_mbb and exact_mmm reached the budget of 3 nodes" in out
+    # an unfinished incumbent above the target names the budget, not a comparison
+    assert "[FAIL] yes-matching-attainable: exact_mmm reached the budget of 3 nodes" in out
+    assert run_cli("verify-lemma", "sseh-no", "--budget", "1") == 1
+    assert "[FAIL] yes-matching-attainable: exact_mmm reached the budget of 1 nodes" in capsys.readouterr().out
     report = verify_lemma("sseh-no", {"budget": 40})
     bound = {c.name: c for c in report.checks}["bound-below-exact"]
     assert (bound.ok, bound.detail) == (False, "exact_mmm reached the budget of 40 nodes")
@@ -749,6 +753,9 @@ def test_cli_verify_lemma_errors(capsys):
         ("sseh-yes", "n=0", "n wants an int >= 1, got 0"),
         ("sseh-no", "n=0", "n wants an int >= 1, got 0"),
         ("weighted-no", "budget=-5", "budget wants an int >= 1, got -5"),
+        ("is-weight", "num_vars=²", "num_vars wants an int >= 1, got '²'"),
+        ("is-weight", "num_vars=3.0", "num_vars wants an int >= 1, got 3.0"),
+        ("path-cover", "exact=maybe", "exact wants true, false, 0 or 1, got 'maybe'"),
     ],
 )
 def test_cli_verify_lemma_refuses_a_bad_parameter(capsys, lemma_id, param, wants):
@@ -756,6 +763,23 @@ def test_cli_verify_lemma_refuses_a_bad_parameter(capsys, lemma_id, param, wants
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: lemma {lemma_id} parameter {wants}\n"
+
+
+@pytest.mark.parametrize(
+    "lemma_id, param, value",
+    [
+        ("is-weight", "num_vars= 3", 3),
+        ("is-weight", " seed =2", 2),
+        ("is-weight", "epsilon=1/8", "1/8"),
+        ("path-cover", "exact=false", False),
+        ("path-cover", "exact=True", True),
+        ("path-cover", "p=.5", 0.5),
+    ],
+)
+def test_cli_verify_lemma_parses_a_parameter(capsys, lemma_id, param, value):
+    assert run_cli("verify-lemma", lemma_id, "--format", "json", "--param", param) == 0
+    key = param.split("=")[0].strip()
+    assert json.loads(capsys.readouterr().out)["params"][key] == value
 
 
 def test_cli_experiment_refuses_a_bad_parameter(tmp_path, capsys):
