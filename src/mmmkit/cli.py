@@ -159,18 +159,19 @@ def _cmd_verify_lemma(args) -> int:
         if "=" not in item:
             raise ValueError(f"--param wants key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        params[key.strip()] = _parse_param_value(raw)
+        params[key] = _parse_param_value(raw)
     if args.seed is not None:
         params["seed"] = args.seed
     if args.budget is not None:
         params["budget"] = args.budget
     ids = lemma_ids() if args.lemma == "all" else (args.lemma,)
+    if args.lemma == "all":  # each lemma takes the keys in its spec, and a key that none takes is refused
+        unknown = [key for key in params if all(key not in LEMMAS[i][1] for i in ids)]
+        if unknown:
+            raise ValueError(f"no lemma takes parameter {unknown[0]!r}")
     reports = []
     for lemma_id in ids:
-        usable = dict(params)
-        if args.lemma == "all":
-            spec = LEMMAS[lemma_id][1]
-            usable = {k: v for k, v in params.items() if k in spec}
+        usable = {k: v for k, v in params.items() if args.lemma != "all" or k in LEMMAS[lemma_id][1]}
         reports.append(verify_lemma(lemma_id, usable))
     if args.format == "json":
         payload = [r.to_payload() for r in reports]
