@@ -16,12 +16,13 @@ SPEC.loader.exec_module(regen)
 
 
 def test_manifest_lists_the_matrix():
-    recorded = regen.load_manifest()["commands"]
+    manifest = regen.load_manifest()
+    recorded = manifest["commands"]
     assert [(name, entry["argv"]) for name, entry in recorded.items()] == sorted(
         (name, list(argv)) for name, argv in regen.MATRIX
     )
     assert len(recorded) >= 40
-    assert {script.name for script in regen.DEMOS} == set(regen.load_manifest()["demos"])
+    assert {script.name for script in regen.DEMOS} == set(manifest["demos"])
 
 
 def test_every_command_output_matches_the_manifest(tmp_path):
