@@ -3,7 +3,8 @@
 Each matrix entry names one command line run in process through
 ``mmmkit.cli.main``, with its exit status and the sha256 of its stdout.  An
 argument ``@name`` is the path of the output of the earlier entry ``name``,
-so commands chain as they do through files.  The six demos' stdout digests
+or of the ``graph`` or ``sweep`` payload written first, so commands chain as
+they do through files.  The six demos' stdout digests
 are recorded too.  ``tests/test_golden.py`` and ``tests/test_demos.py``
 recompute them.
 
@@ -37,6 +38,14 @@ GRAPH = {
     "vertices": [0, "a", {"tuple": [1, "b"]}, {"variable": 0, "colors": [1]}, 7],
     "edges": [[0, 1], [1, 2], [2, 3], [3, 0], [1, 4]],
 }
+# an `experiment` config: the is-weight lemma over two colour counts and two xi
+SWEEP = {
+    "schema": "mmmkit/1",
+    "kind": "experiment_config",
+    "name": "is-weight-golden",
+    "lemma": "is-weight",
+    "grid": {"num_colors": [2, 3], "xi": [0, "1/4"]},
+}
 
 BUDGET = ("--budget", "20000")
 MATRIX: tuple[tuple[str, tuple[str, ...]], ...] = (
@@ -44,6 +53,8 @@ MATRIX: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("ulc-c3", ("gen-ulc", "--num-vars", "4", "--num-colors", "3", "--seed", "1")),
     ("ulc-c6", ("gen-ulc", "--num-vars", "3", "--num-colors", "6", "--xi", "1/3", "--seed", "2")),
     ("ulc-c8", ("gen-ulc", "--num-vars", "3", "--num-colors", "8", "--xi", "1/3", "--seed", "3")),
+    ("ulc-c10", ("gen-ulc", "--num-vars", "3", "--num-colors", "10", "--xi", "1/3", "--seed", "7")),
+    ("ulc-c12", ("gen-ulc", "--num-vars", "3", "--num-colors", "12", "--xi", "1/3", "--seed", "7")),
     ("ulc-k2", ("gen-ulc", "--num-vars", "4", "--num-colors", "2", "--topology", "complete", "--xi", "1/4",
                 "--seed", "4")),
     ("ulc-k3", ("gen-ulc", "--num-vars", "5", "--num-colors", "3", "--topology", "complete", "--p-edge", "0.5",
@@ -56,6 +67,8 @@ MATRIX: tuple[tuple[str, tuple[str, ...]], ...] = (
                             "--format", "dot")),
     ("gadget-c6", ("build-gadget", "--in", "@ulc-c6", "--epsilon", "1/8")),
     ("gadget-c8", ("build-gadget", "--in", "@ulc-c8", "--epsilon", "1/4")),
+    ("gadget-c10", ("build-gadget", "--in", "@ulc-c10", "--epsilon", "1/8")),
+    ("gadget-c12", ("build-gadget", "--in", "@ulc-c12", "--epsilon", "1/8")),
     ("gadget-k2", ("build-gadget", "--in", "@ulc-k2", "--epsilon", "1/4")),
     ("gadget-k2-base", ("build-gadget", "--in", "@ulc-k2", "--epsilon", "1/4", "--flavor", "base")),
     ("gadget-k2-dot", ("build-gadget", "--in", "@ulc-k2", "--epsilon", "1/4", "--format", "dot")),
@@ -68,6 +81,10 @@ MATRIX: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("fracmatch-c6-csv", ("fracmatch", "--in", "@gadget-c6", "--format", "csv")),
     ("fracmatch-c8", ("fracmatch", "--in", "@gadget-c8")),
     ("fracmatch-c8-csv", ("fracmatch", "--in", "@gadget-c8", "--format", "csv")),
+    ("fracmatch-c10", ("fracmatch", "--in", "@gadget-c10")),
+    ("fracmatch-c10-csv", ("fracmatch", "--in", "@gadget-c10", "--format", "csv")),
+    ("fracmatch-c12", ("fracmatch", "--in", "@gadget-c12")),
+    ("fracmatch-c12-csv", ("fracmatch", "--in", "@gadget-c12", "--format", "csv")),
     ("fracmatch-k2", ("fracmatch", "--in", "@gadget-k2")),
     ("blowup-k2", ("blowup", "--in", "@gadget-k2", "--rho", "1/2")),
     ("blowup-k2-dot", ("blowup", "--in", "@gadget-k2", "--rho", "1/2", "--format", "dot")),
@@ -89,6 +106,7 @@ MATRIX: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("export-gadget-c2-dot", ("export", "--in", "@gadget-c2", "--format", "dot")),
     ("export-sseh-n4", ("export", "--in", "@sseh-n4")),
     ("solve-mmm-gadget-c2", ("solve", "mmm", "--in", "@gadget-c2", *BUDGET)),
+    ("solve-mmm-gadget-c2-unbudgeted", ("solve", "mmm", "--in", "@gadget-c2")),
     ("solve-vc-gadget-c2", ("solve", "vc", "--in", "@gadget-c2", *BUDGET)),
     ("solve-mmm-gadget-c2-base", ("solve", "mmm", "--in", "@gadget-c2-base", *BUDGET)),
     ("solve-vc-gadget-c2-base", ("solve", "vc", "--in", "@gadget-c2-base", *BUDGET)),
@@ -100,6 +118,8 @@ MATRIX: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("solve-mbb-sseh-n8", ("solve", "mbb", "--in", "@sseh-n8", *BUDGET)),
     ("verify-lemma-all", ("verify-lemma", "all")),
     ("verify-lemma-all-json", ("verify-lemma", "all", "--format", "json")),
+    ("experiment-sweep", ("experiment", "@sweep", "--format", "csv")),
+    ("experiment-sweep-json", ("experiment", "@sweep", "--format", "json")),
 )
 
 
@@ -117,8 +137,9 @@ def run_matrix(workdir: Path) -> dict[str, dict]:
 
     from mmmkit import cli
 
-    paths = {"graph": workdir / "graph.json"}
+    paths = {"graph": workdir / "graph.json", "sweep": workdir / "sweep.json"}
     paths["graph"].write_text(json.dumps(GRAPH), encoding="utf-8")
+    paths["sweep"].write_text(json.dumps(SWEEP), encoding="utf-8")
     out: dict[str, dict] = {}
     with mock.patch.object(cli, "build_parser", return_value=cli.build_parser()):
         for name, argv in MATRIX:
