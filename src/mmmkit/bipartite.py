@@ -282,6 +282,8 @@ def random_planted_biclique(
     n: int, epsilon: Fraction, seed: int = 0, p_edge: float = 0.5
 ) -> tuple[Bipartite, tuple, tuple]:
     """Random balanced bipartite graph with a planted complete (1/2 - eps) n biclique."""
+    if n < 1:
+        raise ValueError(f"each side needs n >= 1 vertices, got n = {n}")
     epsilon = Fraction(epsilon)
     k = (Fraction(1, 2) - epsilon) * n
     if k.denominator != 1:

@@ -1,11 +1,14 @@
-"""Fractional matchings on the extended gadget graph with the min edge rule.
+"""Fractional matchings on the extended gadget graph.
+
+A valid matching puts at most min(w_u, w_v) on each edge (u, v) and at most
+w_v on each vertex v; ``validate`` checks both.
 
 The construction has three stages, and each gadget has one plan for them,
 ``gadget.stage_plan``: its arcs (u, v) inside the gadget, with one amount
 rule that ``discretize_matching`` in the blowup module reads too.
-Complement pairing puts the full min edge weight on every pair of
-complementary subsets within a cloud's ground (the colour set, minus the
-planted colour in core clouds).  That leaves a vertex u of a cloud with
+Complement pairing puts min(w_u, w_v) on every pair of complementary
+subsets within a cloud's ground (the colour set, minus the planted colour
+in core clouds).  That leaves a vertex u of a cloud with
 ground size g the deficit mu(|u|) - mu(g - |u|).  The layer stage sends each
 small subset A (2|A| < g) to its bracket partner, a disjoint subset of the
 same size; the empty-set stage sends each (x, {}) to (sigma(x), {}) for a
@@ -137,31 +140,28 @@ def combine(*parts: FractionalMatching) -> FractionalMatching:
 
 
 class SaturationReport(NamedTuple):
-    """Exact per-vertex loads plus capacity and budget verdicts."""
+    """What ``validate`` found: the first support, capacity and budget
+    violation, each None when there is none, and every vertex whose load
+    differs from its weight, with its deficit (negative over the budget)."""
 
-    loads: dict[GadgetVertex, Fraction]
-    saturated: tuple[GadgetVertex, ...]
     unsaturated: tuple[tuple[GadgetVertex, Fraction], ...]  # (vertex, deficit)
-    support_ok: bool
-    support_violation: tuple | None
-    capacity_ok: bool
-    capacity_violation: tuple | None
-    budget_ok: bool
-    budget_violation: tuple | None
+    support_violation: tuple | None  # (u, v)
+    capacity_violation: tuple | None  # (u, v, value, capacity)
+    budget_violation: tuple | None  # (v, load, weight)
 
     @property
     def ok(self) -> bool:
-        return self.support_ok and self.capacity_ok and self.budget_ok
+        return self.support_violation is None and self.capacity_violation is None and self.budget_violation is None
 
     def first_violation(self) -> str:
         """The first broken invariant in words, or '' when the matching is valid."""
-        if not self.support_ok:
+        if self.support_violation is not None:
             u, v = self.support_violation
             return f"support edge {u.label()} ~ {v.label()} is not a gadget edge"
-        if not self.capacity_ok:
+        if self.capacity_violation is not None:
             u, v, value, cap = self.capacity_violation
             return f"edge {u.label()} ~ {v.label()} carries {value}, over its capacity {cap}"
-        if not self.budget_ok:
+        if self.budget_violation is not None:
             v, load, weight = self.budget_violation
             return f"vertex {v.label()} has load {load}, over its weight {weight}"
         return ""
@@ -175,7 +175,7 @@ def _stage(gadget: GadgetGraph, stage: int) -> FractionalMatching:
 
 
 def build_complement_pairing(gadget: GadgetGraph) -> FractionalMatching:
-    """Stage one: the min edge weight on every complementary subset pair.
+    """Stage one: min(w_u, w_v) on every complementary subset pair (u, v).
 
     Within each cloud the ground set is the full colour set, or the colour
     set minus the planted colour for core clouds; subsets containing the
@@ -209,75 +209,56 @@ def build_full(gadget: GadgetGraph) -> FractionalMatching:
 def validate(fm: FractionalMatching) -> SaturationReport:
     """Exact validation of the fractional matching invariants.
 
-    Checks that every support edge exists in the graph, respects the min
-    edge-weight capacity, and that no vertex load exceeds its weight; then
-    classifies every vertex as saturated (load equals weight exactly) or
-    unsaturated with its deficit.  Nothing is assumed about how the matching
-    was built.  Every compare is between integers over the matching's
-    common denominator; the report hands out ``Fraction``, reusing the
-    gadget's weight objects for saturated and unloaded vertices.
+    Finds the first support edge, in sorted order, that is not a gadget edge
+    or carries more than the smaller weight of its two ends, and the first
+    vertex whose load exceeds its weight; and lists every vertex whose load
+    differs from its weight with its deficit.  Nothing is assumed about how
+    the matching was built.  Every compare is between integers over the
+    matching's common denominator, and a ``Fraction`` is made only for what
+    the report hands out; an unloaded vertex's deficit is the gadget's own
+    weight object.
     """
-    gadget = fm.gadget
-    scale = fm.denominator // gadget.denominator
+    gadget, denominator = fm.gadget, fm.denominator
+    scale = denominator // gadget.denominator
     units = [w * scale for w in gadget.units_by_size]
     weights = gadget.weight_by_size
-    support_ok, support_violation = True, None
-    capacity_ok, capacity_violation = True, None
+    support_violation = capacity_violation = budget_violation = None
     for (u, v), value in sorted(fm._values.items()):
         if not gadget.has_edge(u, v):
-            support_ok, support_violation = False, (u, v)
+            support_violation = (u, v)
             break
-        if value > min(units[u.subset.bit_count()], units[v.subset.bit_count()]):
-            cap = gadget.edge_weight(u, v, "min")
-            capacity_ok, capacity_violation = False, (u, v, Fraction(value, fm.denominator), cap)
+        cap = min(units[u.subset.bit_count()], units[v.subset.bit_count()])
+        if value > cap:
+            capacity_violation = (u, v, Fraction(value, denominator), Fraction(cap, denominator))
             break
-    budget_ok, budget_violation = True, None
-    zero = Fraction(0)
-    loads: dict[GadgetVertex, Fraction] = {}
-    saturated: list[GadgetVertex] = []
+    loads = fm._loads
     unsaturated: list[tuple[GadgetVertex, Fraction]] = []
     for v in gadget.vertices():
         size = v.subset.bit_count()
-        load = fm._loads.get(v, 0)
+        load = loads.get(v, 0)
         if load == units[size]:
-            loads[v] = weights[size]
-            saturated.append(v)
             continue
         if load == 0:
-            loads[v] = zero
             unsaturated.append((v, weights[size]))
             continue
-        loads[v] = Fraction(load, fm.denominator)
-        if load > units[size] and budget_ok:
-            budget_ok, budget_violation = False, (v, loads[v], weights[size])
-        unsaturated.append((v, weights[size] - loads[v]))
-    return SaturationReport(
-        loads=loads,
-        saturated=tuple(saturated),
-        unsaturated=tuple(unsaturated),
-        support_ok=support_ok,
-        support_violation=support_violation,
-        capacity_ok=capacity_ok,
-        capacity_violation=capacity_violation,
-        budget_ok=budget_ok,
-        budget_violation=budget_violation,
-    )
+        if load > units[size] and budget_violation is None:
+            budget_violation = (v, Fraction(load, denominator), weights[size])
+        unsaturated.append((v, Fraction(units[size] - load, denominator)))
+    return SaturationReport(tuple(unsaturated), support_violation, capacity_violation, budget_violation)
 
 
 def saturates_exactly_outside_planted_set(fm: FractionalMatching) -> tuple[bool, str]:
-    """Convenience check used by the verification campaigns: valid matching,
-    saturated set equal to the complement of the independent set of the
-    instance's planted labelling, and zero load on that set itself.  The
-    planted set is the gadget's, built and verified once."""
-    is_vertices = set(planted_independent_set(fm.gadget).vertices)
+    """Valid matching, unsaturated set equal to the independent set of the
+    instance's planted labelling, and every planted vertex short of its
+    whole weight, so carrying no load.  The planted set is the gadget's,
+    built and verified once."""
+    gadget = fm.gadget
     report = validate(fm)
     if not report.ok:
         return False, "invalid fractional matching"
-    # every vertex is saturated or not, so the saturated set is the planted
-    # set's complement exactly when the unsaturated set is the planted set
-    if {v for v, _ in report.unsaturated} != is_vertices:
+    if {v for v, _ in report.unsaturated} != set(planted_independent_set(gadget).vertices):
         return False, "saturated set differs from the complement of the planted set"
-    for v in is_vertices:
-        if report.loads[v] != 0:
+    for v, deficit in report.unsaturated:
+        if deficit != gadget.vertex_weight(v):
             return False, f"planted vertex {v} has nonzero load"
     return True, "ok"

@@ -23,7 +23,6 @@ from .graphs import Graph
 from .ulc import MAX_COLORS, Planted, UlcInstance
 
 FLAVORS = ("base", "extended")
-EDGE_RULES = ("plus", "min")
 MAX_GRAPH_VERTICES = 200_000  # the largest gadget ``to_graph`` materializes
 MAX_PLAN_VERTICES = 1 << 21  # the largest gadget a stage plan walks: 8 variables at 18 colours
 
@@ -91,6 +90,7 @@ class GadgetGraph:
             ((x, x) for x in intra), range(self.cloud_size)
         )
         self._images.update(dict.fromkeys(instance.edges, ()))
+        self._constraints = dict(zip(instance.edges, instance.constraints))
         self._planted_set: PlantedIndependentSet | None = None
         self._stage_plan: StagePlan | None = None
 
@@ -143,7 +143,7 @@ class GadgetGraph:
         the joined pair x1 -> x2 with x1 <= x2 (the identity when x1 == x2)."""
         table = self._images[(x1, x2)]
         if not table:
-            perm = self.instance.permutation_between(x1, x2)
+            perm = self._constraints[(x1, x2)]
             table = [0] * self.cloud_size
             for s in range(1, self.cloud_size):
                 low = s & -s
@@ -211,23 +211,15 @@ class GadgetGraph:
 
     # -- edge weights ------------------------------------------------------
 
-    def edge_weight(self, u: GadgetVertex, v: GadgetVertex, rule: str = "plus") -> Fraction:
-        if rule not in EDGE_RULES:
-            raise ValueError(f"edge weight rule must be one of {EDGE_RULES}")
-        wu, wv = self.vertex_weight(u), self.vertex_weight(v)
-        return wu + wv if rule == "plus" else min(wu, wv)
+    def edge_weight(self, u: GadgetVertex, v: GadgetVertex) -> Fraction:
+        """w_u + w_v, the weight a matching edge takes from the vertices it covers."""
+        return self.vertex_weight(u) + self.vertex_weight(v)
 
-    def matching_weight(self, matching: Iterable[tuple[GadgetVertex, GadgetVertex]], rule: str = "plus") -> Fraction:
+    def matching_weight(self, matching: Iterable[tuple[GadgetVertex, GadgetVertex]]) -> Fraction:
         """The summed ``edge_weight`` of the matching's edges, added as
-        integers over the common denominator D: a plus edge weighs the units
-        of both ends, a min edge the smaller of them."""
-        if rule not in EDGE_RULES:
-            raise ValueError(f"edge weight rule must be one of {EDGE_RULES}")
+        integers over the common denominator D."""
         units = self.units_by_size
-        if rule == "plus":
-            total = sum(units[u.subset.bit_count()] + units[v.subset.bit_count()] for u, v in matching)
-        else:
-            total = sum(min(units[u.subset.bit_count()], units[v.subset.bit_count()]) for u, v in matching)
+        total = sum(units[u.subset.bit_count()] + units[v.subset.bit_count()] for u, v in matching)
         return Fraction(total, self.denominator)
 
     def set_weight(self, vertex_set: Iterable[GadgetVertex]) -> Fraction:

@@ -5,7 +5,8 @@ solvers see only a graph protocol (vertices and edges) plus an optional
 edge or vertex weight callable.  Each exact solver reads the graph once as
 bitmasks (``_indexed``) and walks its search tree from an explicit stack,
 so no input is too deep to search.  Every branch and bound search stops
-at its ``node_limit``, which is its only size limit.  The vertex cover and
+at its ``node_limit``; ``exact_mmm`` also refuses a graph whose edge masks
+would not fit in memory.  The vertex cover and
 the total vertex cover share one independent-set search
 (``_cover_search``); the total cover only adds a leaf test.
 """
@@ -18,6 +19,8 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
 from .graphs import Bipartite
+
+MAX_MMM_EDGES = 1 << 15  # two masks of E bits per edge: about 256 MiB at the bound
 
 
 class SolveResult(NamedTuple):
@@ -102,9 +105,12 @@ def exact_mmm(
     candidates ban the earlier ones to keep the search tree duplicate-free.
     Edge weights must be positive ints or Fractions; the search runs on
     edge bitmasks with the weights scaled to integers over their common
-    denominator, and a weighted call hands back a ``Fraction``.
+    denominator, and a weighted call hands back a ``Fraction``.  A graph of
+    more than ``MAX_MMM_EDGES`` edges is refused before its masks are built.
     """
     verts, edges, _ = _indexed(graph)
+    if len(edges) > MAX_MMM_EDGES:
+        raise ValueError(f"exact_mmm keeps two masks per edge and takes at most {MAX_MMM_EDGES} edges, not {len(edges)}")
     if weight is None:
         wts, denom = [1] * len(edges), 1
     else:

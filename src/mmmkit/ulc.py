@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 MAX_COLORS = 30
@@ -112,28 +111,6 @@ class UlcInstance(_Frozen):
                 f"{labelling[x1]} at {x1} does not map to colour {labelling[x2]} at {x2}"
             )
 
-    @cached_property
-    def _edge_index(self) -> dict[VarEdge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
-    def _inverses(self) -> tuple[Permutation, ...]:
-        out = []
-        for perm in self.constraints:
-            inv = [0] * self.num_colors
-            for r, image in enumerate(perm):
-                inv[image] = r
-            out.append(tuple(inv))
-        return tuple(out)
-
-    def permutation_between(self, x1: int, x2: int) -> Permutation:
-        """Permutation mapping colours at x1 to colours at x2."""
-        a, b = (x1, x2) if x1 < x2 else (x2, x1)
-        i = self._edge_index.get((a, b))
-        if i is None:
-            raise KeyError(f"no constraint between variables {x1} and {x2}")
-        return self.constraints[i] if x1 == a else self._inverses[i]
-
     def with_planted(self, planted: Planted) -> "UlcInstance":
         return UlcInstance(self.num_vars, self.num_colors, self.edges, self.constraints, planted)
 
@@ -231,6 +208,8 @@ def generate_yes(
         raise ValueError(f"unknown topology {topology!r}")
     if topology == "random" and p_edge is None:
         raise ValueError("topology 'random' needs p_edge")
+    if p_edge is not None and not 0 <= p_edge <= 1:  # NaN fails both compares
+        raise ValueError(f"p_edge must lie in [0, 1], got {p_edge}")
 
     rng = random.Random(seed)
     labelling = tuple(rng.randrange(num_colors) for _ in range(num_vars))

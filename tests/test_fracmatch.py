@@ -14,7 +14,7 @@ from mmmkit.fracmatch import (
     saturates_exactly_outside_planted_set,
     validate,
 )
-from mmmkit.gadget import GadgetVertex, build_gadget, planted_independent_set, yes_matching
+from mmmkit.gadget import GadgetVertex, biased_weight, build_gadget, planted_independent_set, yes_matching
 from mmmkit.ulc import Planted, generate_yes, new_instance
 
 F = Fraction
@@ -105,7 +105,7 @@ def test_explicit_planted_override(gadget):
     ok, reason = saturates_exactly_outside_planted_set(fm)
     assert ok, reason
     # with an empty core nothing is planted, so everything saturates
-    assert len(validate(fm).saturated) == gadget.n_vertices
+    assert validate(fm).unsaturated == ()
 
 
 def test_empty_set_cycles_size_two_class():
@@ -185,17 +185,17 @@ def test_validate_flags_support_capacity_and_budget(gadget):
     # not an edge: subsets overlap within a cloud
     fm.add(GadgetVertex(0, 0b1), GadgetVertex(0, 0b11), F(1, 1000))
     report = validate(fm)
-    assert not report.support_ok
+    assert not report.ok
     assert report.support_violation == (GadgetVertex(0, 0b1), GadgetVertex(0, 0b11))
 
     fm2 = FractionalMatching(gadget)
     u, v = GadgetVertex(0, 0b1), GadgetVertex(0, 0b110)
-    fm2.add(u, v, gadget.edge_weight(u, v, "min") + F(1, 10 ** 6))
+    fm2.add(u, v, min(gadget.vertex_weight(u), gadget.vertex_weight(v)) + F(1, 10 ** 6))
     report2 = validate(fm2)
-    assert not report2.capacity_ok
+    assert report2.support_violation is None
     assert report2.capacity_violation is not None
     # the smaller-weight endpoint also overflows its vertex budget
-    assert not report2.budget_ok
+    assert report2.budget_violation is not None
 
     fm3 = build_full(gadget)
     report3 = validate(fm3)
@@ -295,23 +295,133 @@ def test_foreign_denominator_rescales_once(gadget):
 
 def test_validate_reports_capacity_and_budget_as_fractions(gadget):
     u, v = GadgetVertex(0, 0b1), GadgetVertex(0, 0b110)
-    cap = gadget.edge_weight(u, v, "min")
+    cap = min(gadget.vertex_weight(u), gadget.vertex_weight(v))
     over = cap + F(1, 10**6)  # off the gadget's denominator
     fm = FractionalMatching(gadget)
     fm.add(u, v, over)
     report = validate(fm)
-    assert report.support_ok and not report.capacity_ok and not report.budget_ok
+    assert report.support_violation is None
     assert report.capacity_violation == (u, v, over, cap)
     assert report.budget_violation == (v, over, gadget.vertex_weight(v))
     for field in (*report.capacity_violation[2:], *report.budget_violation[1:]):
         assert type(field) is F
-    assert report.loads[u] == report.loads[v] == over
-    assert dict(report.unsaturated)[v] == gadget.vertex_weight(v) - over
-    assert report.loads[GadgetVertex(1, 0)] == 0
+    deficits = dict(report.unsaturated)
+    assert deficits[u] == gadget.vertex_weight(u) - over
+    assert deficits[v] == gadget.vertex_weight(v) - over < 0
+    assert all(type(d) is F for d in deficits.values())
+    # an unloaded vertex's deficit is the gadget's own weight object
+    assert deficits[GadgetVertex(1, 0)] is gadget.vertex_weight(GadgetVertex(1, 0))
 
     # exactly at capacity: the smaller endpoint is saturated, no violation
     fm = FractionalMatching(gadget)
     fm.add(u, v, cap)
     report = validate(fm)
     assert report.ok
-    assert v in report.saturated and report.loads[v] is gadget.vertex_weight(v)
+    assert v not in dict(report.unsaturated)
+    assert dict(report.unsaturated)[u] == gadget.vertex_weight(u) - cap
+
+
+# -- validate against a plain Fraction reference --------------------------
+
+VALIDATE_GADGETS = [
+    build_gadget(generate_yes(n, m, xi=xi, seed=m), eps)
+    for m in range(1, 5)
+    for n, xi, eps in ((3, F(0), F(1, 8)), (4, F(1, 2), F(1, 4)))
+]
+
+
+def _reference_report(gadget, values):
+    """``validate``'s verdict from Fractions and the edge rule itself: the
+    first support and capacity violation over the edges in index order, the
+    first over-budget vertex, and every vertex whose load is off its weight."""
+    weight = {v: biased_weight(gadget.num_vars, gadget.num_colors, gadget.epsilon, v.subset.bit_count())
+              for v in gadget.vertices()}
+    perms = dict(zip(gadget.instance.edges, gadget.instance.constraints))
+    perms.update({(x, x): tuple(range(gadget.num_colors)) for x in range(gadget.num_vars)})
+
+    def adjacent(u, v):
+        perm = perms.get((u.variable, v.variable))
+        image = sum(1 << perm[c] for c in range(gadget.num_colors) if u.subset >> c & 1) if perm else 0
+        return perm is not None and u != v and image & v.subset == 0
+
+    support = capacity = budget = None
+    for u, v in sorted(values, key=lambda e: (gadget.index(e[0]), gadget.index(e[1]))):
+        if not adjacent(u, v):
+            support = (u, v)
+            break
+        if values[(u, v)] > min(weight[u], weight[v]):
+            capacity = (u, v, values[(u, v)], min(weight[u], weight[v]))
+            break
+    loads = {v: F(0) for v in gadget.vertices()}
+    for (u, v), x in values.items():
+        loads[u] += x
+        loads[v] += x
+    unsaturated = tuple((v, weight[v] - loads[v]) for v in gadget.vertices() if loads[v] != weight[v])
+    budget = next(((v, loads[v], weight[v]) for v in gadget.vertices() if loads[v] > weight[v]), None)
+    return unsaturated, support, capacity, budget
+
+
+@st.composite
+def _matchings(draw):
+    gadget = draw(st.sampled_from(VALIDATE_GADGETS))
+    verts = list(gadget.vertices())
+    edges = list(gadget.edges())
+    values = {}
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):  # a gadget edge, mostly
+            u, v = draw(st.sampled_from(edges))
+        else:  # any pair, often not an edge
+            u, v = draw(st.lists(st.sampled_from(verts), min_size=2, max_size=2, unique=True))
+        u, v = sorted((u, v), key=gadget.index)
+        cap = min(gadget.vertex_weight(u), gadget.vertex_weight(v))
+        # a share of the capacity, up to twice over it, at times off the
+        # gadget's denominator; or a small foreign fraction
+        value = draw(st.one_of(
+            st.builds(lambda a, b: cap * F(a, b), st.integers(1, 8), st.sampled_from((1, 2, 3, 4, 7))),
+            st.builds(F, st.integers(1, 5), st.integers(7, 400)),
+        ))
+        values[(u, v)] = values.get((u, v), F(0)) + value
+    return gadget, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matchings())
+def test_validate_matches_a_fraction_reference(case):
+    gadget, values = case
+    fm = FractionalMatching(gadget)
+    for (u, v), x in values.items():
+        fm.add(v, u, x)
+    report = validate(fm)
+    assert tuple(report) == _reference_report(gadget, values)
+    assert report.ok == (report.first_violation() == "")
+    assert all(type(d) is F for _, d in report.unsaturated)
+
+
+def test_planted_vertices_with_partial_load_are_not_saturated_exactly(gadget):
+    # move delta from a matched non-planted edge (a, b) onto (a, p) and
+    # (b, q) for planted p != q: the loads of a and b and the unsaturated set
+    # stay as they were, but p and q now carry delta each
+    fm = build_full(gadget)
+    planted = planted_independent_set(gadget).vertices
+    for a, b, x in fm.support():
+        ps = [p for p in planted if gadget.has_edge(a, p)]
+        qs = [q for q in planted if gadget.has_edge(b, q)]
+        pairs = [(p, q) for p in ps for q in qs if p != q]
+        if pairs:
+            p, q = pairs[0]
+            break
+    else:
+        pytest.fail("no non-planted edge with planted neighbours at both ends")
+    delta = min(x, gadget.vertex_weight(p), gadget.vertex_weight(q)) / 2
+    moved = FractionalMatching(gadget)
+    for u, v, value in fm.support():
+        moved.add(u, v, value - delta if (u, v) == (a, b) else value)
+    moved.add(a, p, delta)
+    moved.add(b, q, delta)
+    report = validate(moved)
+    assert report.ok
+    assert {v for v, _ in report.unsaturated} == set(planted)
+    assert dict(report.unsaturated)[p] == gadget.vertex_weight(p) - delta
+    ok, reason = saturates_exactly_outside_planted_set(moved)
+    assert not ok
+    assert "nonzero load" in reason

@@ -165,21 +165,17 @@ def test_to_graph_materializes_same_edges():
         big.to_graph()
 
 
-def test_edge_weight_rules():
+def test_edge_weight_is_the_plus_rule():
     gadget = build_gadget(two_var_instance(), F(1, 4))
     u, v = GadgetVertex(0, 0), GadgetVertex(0, 0b11)
-    assert gadget.edge_weight(u, v, "plus") == F(9, 32) + F(1, 32)
-    assert gadget.edge_weight(u, v, "min") == F(1, 32)
-    with pytest.raises(ValueError):
-        gadget.edge_weight(u, v, "sum")
-    assert gadget.matching_weight([(u, v)], "min") == F(1, 32)
+    assert gadget.edge_weight(u, v) == gadget.edge_weight(v, u) == F(9, 32) + F(1, 32)
+    assert gadget.matching_weight([(u, v)]) == F(10, 32)
     assert gadget.set_weight([u, v]) == F(10, 32)
-
-
-def test_matching_weight_checks_the_rule_before_summing():
-    gadget = build_gadget(two_var_instance(), F(1, 4))
-    with pytest.raises(ValueError):
-        gadget.matching_weight([], "sum")
+    # one weight, no rule to choose
+    with pytest.raises(TypeError):
+        gadget.edge_weight(u, v, "min")
+    with pytest.raises(TypeError):
+        gadget.matching_weight([(u, v)], "min")
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,9 +190,8 @@ def test_integer_weight_sums_equal_fraction_sums(num_colors, epsilon, seed, rnd)
     gadget = build_gadget(inst, epsilon)
     edges = list(gadget.edges())
     chosen = rnd.sample(edges, rnd.randint(0, min(24, len(edges))))
-    for rule in ("plus", "min"):
-        expected = sum((gadget.edge_weight(u, v, rule) for u, v in chosen), F(0))
-        assert gadget.matching_weight(chosen, rule) == expected
+    expected = sum((gadget.vertex_weight(u) + gadget.vertex_weight(v) for u, v in chosen), F(0))
+    assert gadget.matching_weight(chosen) == sum((gadget.edge_weight(u, v) for u, v in chosen), F(0)) == expected
     verts = list(gadget.vertices())
     subset = rnd.sample(verts, rnd.randint(0, len(verts)))
     assert gadget.set_weight(subset) == sum((gadget.vertex_weight(v) for v in subset), F(0))
@@ -259,8 +254,8 @@ def test_yes_matching_saturates_complement_exactly():
         (GadgetVertex(0, 0), GadgetVertex(0, 0b10)),
         (GadgetVertex(1, 0), GadgetVertex(1, 0b10)),
     )
-    assert gadget.matching_weight(matching, "plus") == F(3, 4)
-    assert gadget.matching_weight(matching, "plus") + planted_independent_set(gadget).weight == 1
+    assert gadget.matching_weight(matching) == F(3, 4)
+    assert gadget.matching_weight(matching) + planted_independent_set(gadget).weight == 1
     assert verify_maximal_matching(gadget, matching)
 
 
@@ -269,7 +264,7 @@ def test_yes_matching_mixed_core():
     gadget = build_gadget(inst, F(1, 4))
     matching = yes_matching(gadget)
     planted = planted_independent_set(gadget)
-    assert gadget.matching_weight(matching, "plus") + planted.weight == 1
+    assert gadget.matching_weight(matching) + planted.weight == 1
     matched = {v for pair in matching for v in pair}
     assert matched.isdisjoint(planted.vertices)
     assert len(matched) + len(planted.vertices) == gadget.n_vertices

@@ -13,6 +13,7 @@ from mmmkit.experiment import ExperimentConfig, run_experiment
 from mmmkit.gadget import MAX_PLAN_VERTICES
 from mmmkit.graphs import Graph, random_graph, verify_maximal_matching
 from mmmkit.lemmas import Check, LemmaReport, lemma_ids, verify_lemma
+from mmmkit.solvers import MAX_MMM_EDGES
 from mmmkit.serialize import SCHEMA, SchemaError, canonical_json, graph_to_payload
 
 F = Fraction
@@ -267,6 +268,80 @@ def test_cli_fracmatch_refuses_a_thirty_colour_gadget_before_planning_it(tmp_pat
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == f"error: stage plan over {3 * 2**30} vertices exceeds the cap {MAX_PLAN_VERTICES}\n"
     assert not (tmp_path / "fm.json").exists()
+
+
+def test_cli_solve_mmm_refuses_a_ten_colour_gadget_before_its_edge_masks(tmp_path):
+    inst, gadget = tmp_path / "inst.json", tmp_path / "gadget.json"
+    assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", "10", "--xi", "1/3", "--seed", "7",
+                   "--out", str(inst)) == 0
+    assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/8", "--out", str(gadget)) == 0
+    # 265,719 edges: the two edge-mask tables alone would take about 17 GB,
+    # so the fresh interpreter is held to 1 GiB of address space
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from mmmkit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", code, "solve", "mmm", "--in", str(gadget), "--budget", "1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (
+        f"error: exact_mmm keeps two masks per edge and takes at most {MAX_MMM_EDGES} edges, not 265719\n"
+    )
+
+
+def test_exact_mmm_refuses_a_graph_over_its_edge_bound(monkeypatch):
+    from mmmkit import solvers
+
+    graph = random_graph(8, 0.5, seed=1)
+    n_edges = len(list(graph.edges()))
+    monkeypatch.setattr(solvers, "MAX_MMM_EDGES", n_edges)
+    assert solvers.exact_mmm(graph).optimal
+    monkeypatch.setattr(solvers, "MAX_MMM_EDGES", n_edges - 1)
+    with pytest.raises(ValueError, match=f"at most {n_edges - 1} edges, not {n_edges}"):
+        solvers.exact_mmm(graph)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sseh", "--n", "0", "--epsilon", "1/4"), "n = 0"),
+        (("sseh", "--n", "-4", "--epsilon", "1/4"), "n = -4"),
+        (("gen-ulc", "--num-vars", "4", "--num-colors", "2", "--p-edge", "7"), "got 7.0"),
+        (("gen-ulc", "--num-vars", "4", "--num-colors", "2", "--p-edge", "-1"), "got -1.0"),
+        (("gen-ulc", "--num-vars", "4", "--num-colors", "2", "--p-edge", "nan"), "got nan"),
+        (("gen-ulc", "--num-vars", "4", "--num-colors", "2", "--topology", "random", "--p-edge", "nan"), "got nan"),
+    ],
+)
+def test_cli_generators_refuse_out_of_range_inputs(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_cli_sseh_bundles_read_back(tmp_path, capsys):
+    from mmmkit.serialize import loads
+
+    written = 0
+    for n in range(1, 13):
+        for eps in ("1/8", "1/4", "3/8"):
+            out = tmp_path / f"sseh-{n}-{eps.replace('/', '_')}.json"
+            if run_cli("sseh", "--n", str(n), "--epsilon", eps, "--out", str(out)) != 0:
+                assert not out.exists()
+                continue
+            written += 1
+            padded = loads(out.read_text())  # the bundle reads back as its padded graph
+            assert len(padded.left) == len(padded.right) == n + (F(1, 2) + F(eps)) * n
+    capsys.readouterr()
+    assert written == 5  # (1/2 - eps) n is whole at n = 8 for every eps, and at 4 and 12 for 1/4
 
 
 def _edited_copy(path, edit, *keys):

@@ -141,7 +141,7 @@ def test_exact_mmm_weighted_gadget_pinned():
     # search this one replaced, so the search tree is unchanged
     instance = generate_yes(3, 2, xi=F(0), topology="cycle", seed=0)
     gadget = build_gadget(instance, F(1, 4), "extended")
-    result = exact_mmm(gadget.to_graph(), weight=lambda u, v: gadget.edge_weight(u, v, "plus"))
+    result = exact_mmm(gadget.to_graph(), weight=gadget.edge_weight)
     assert (result.status, result.value, result.nodes) == ("optimal", F(3, 4), 1916)
     assert isinstance(result.value, Fraction)
     assert [(tuple(u), tuple(v)) for u, v in result.witness] == [

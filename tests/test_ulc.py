@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mmmkit.gadget import GadgetVertex, build_gadget
 from mmmkit.serialize import dumps, loads
 from mmmkit.ulc import (
     Planted,
@@ -24,19 +25,21 @@ def test_new_instance_orients_and_inverts():
     assert inst.edges == ((0, 2), (0, 1))
     # stored permutation runs low to high, so the given one was inverted
     assert inst.constraints[0] == SWAP
-    assert inst.permutation_between(0, 2) == SWAP
-    assert inst.permutation_between(2, 0) == SWAP
     assert (0, 1) in inst.edges
     assert (1, 2) not in inst.edges
 
 
-def test_permutation_between_inverts_asymmetric():
-    perm = (1, 2, 0)
-    inst = new_instance(2, 3, [((0, 1), perm)])
-    assert inst.permutation_between(0, 1) == perm
-    assert inst.permutation_between(1, 0) == (2, 0, 1)
-    with pytest.raises(KeyError):
-        inst.permutation_between(0, 0)
+def test_reversed_asymmetric_constraint_is_inverted():
+    # (1, 2, 0) given from 1 to 0 maps colour c at 0 to (2, 0, 1)[c] at 1
+    inst = new_instance(2, 3, [((1, 0), (1, 2, 0))])
+    assert inst.edges == ((0, 1),)
+    assert inst.constraints == ((2, 0, 1),)
+    gadget = build_gadget(inst.with_planted(Planted((0, 2), frozenset({0, 1}))), Fraction(1, 8))
+    for c in range(3):
+        for d in range(3):
+            u, v = GadgetVertex(0, 1 << c), GadgetVertex(1, 1 << d)
+            # singletons are adjacent exactly when c does not map to d
+            assert gadget.has_edge(u, v) == gadget.has_edge(v, u) == ((2, 0, 1)[c] != d)
 
 
 @pytest.mark.parametrize(
@@ -225,9 +228,6 @@ def test_instance_fields_cannot_be_assigned_or_deleted():
     with pytest.raises(AttributeError):
         inst.extra = 1
     assert inst.num_vars == 3 and inst.planted is not None
-    # the cached lookup tables still fill in after construction
-    x1, x2 = inst.edges[0]
-    assert inst.permutation_between(x2, x1)[inst.permutation_between(x1, x2)[0]] == 0
 
 
 def test_bad_plant_and_mixed_t_labelling_still_raise():
@@ -241,3 +241,19 @@ def test_bad_plant_and_mixed_t_labelling_still_raise():
     assert repr(tl) == "TLabelling(assignment={0: frozenset({1})}, t=1)"
     with pytest.raises(AttributeError):
         tl.t = 2
+
+
+@pytest.mark.parametrize("topology", ["cycle", "complete", "random"])
+@pytest.mark.parametrize("p_edge", [7, -1, 1.5, float("nan")])
+def test_generate_yes_refuses_p_edge_outside_unit_interval(topology, p_edge):
+    with pytest.raises(ValueError, match=r"p_edge must lie in \[0, 1\]"):
+        generate_yes(4, 2, topology=topology, p_edge=p_edge)
+
+
+def test_generate_yes_accepts_p_edge_at_the_ends_and_with_any_topology():
+    cycle = generate_yes(5, 2, topology="cycle", seed=3)
+    assert generate_yes(5, 2, topology="random", seed=3, p_edge=0).edges == cycle.edges
+    assert generate_yes(5, 2, topology="random", seed=3, p_edge=1).edges == generate_yes(
+        5, 2, topology="complete", seed=3
+    ).edges
+    assert generate_yes(5, 2, topology="complete", seed=3, p_edge=0.5) == generate_yes(5, 2, topology="complete", seed=3)
