@@ -8,8 +8,8 @@ The construction has three stages, and each gadget has one plan for them,
 rule that ``discretize_matching`` in the blowup module reads too.
 Complement pairing puts min(w_u, w_v) on every pair of complementary
 subsets within a cloud's ground (the colour set, minus the planted colour
-in core clouds).  That leaves a vertex u of a cloud with
-ground size g the deficit mu(|u|) - mu(g - |u|).  The layer stage sends each
+in core clouds).  That leaves a vertex u of a cloud with ground size g the
+deficit mu(|u|) - mu(g - |u|).  The layer stage sends each
 small subset A (2|A| < g) to its bracket partner, a disjoint subset of the
 same size; the empty-set stage sends each (x, {}) to (sigma(x), {}) for a
 permutation sigma of its class with x ~ sigma(x).  Both maps are bijections,

@@ -6,9 +6,9 @@ edge or vertex weight callable.  Each exact solver reads the graph once as
 bitmasks (``_indexed``) and walks its search tree from an explicit stack,
 so no input is too deep to search.  Every branch and bound search stops
 at its ``node_limit``; ``exact_mmm`` also refuses a graph whose edge masks
-would not fit in memory.  The vertex cover and
-the total vertex cover share one independent-set search
-(``_cover_search``); the total cover only adds a leaf test.
+would not fit in memory.  The vertex cover and the total vertex cover
+share one independent-set search (``_cover_search``); the total cover only
+adds a leaf test.
 """
 
 from __future__ import annotations

@@ -334,17 +334,18 @@ def _reference_report(gadget, values):
     """``validate``'s verdict from Fractions and the edge rule itself: the
     first support and capacity violation over the edges in index order, the
     first over-budget vertex, and every vertex whose load is off its weight."""
-    weight = {v: biased_weight(gadget.num_vars, gadget.num_colors, gadget.epsilon, v.subset.bit_count())
-              for v in gadget.vertices()}
+    m = gadget.num_colors
+    weight = {v: biased_weight(gadget.num_vars, m, gadget.epsilon, v.subset.bit_count()) for v in gadget.vertices()}
     perms = dict(zip(gadget.instance.edges, gadget.instance.constraints))
-    perms.update({(x, x): tuple(range(gadget.num_colors)) for x in range(gadget.num_vars)})
+    perms.update({(x, x): tuple(range(m)) for x in range(gadget.num_vars)})
 
-    def adjacent(u, v):
+    def adjacent(u, v):  # u has the lower index
         perm = perms.get((u.variable, v.variable))
-        image = sum(1 << perm[c] for c in range(gadget.num_colors) if u.subset >> c & 1) if perm else 0
-        return perm is not None and u != v and image & v.subset == 0
+        if perm is None or u == v:
+            return False
+        return sum(1 << perm[c] for c in range(m) if u.subset >> c & 1) & v.subset == 0
 
-    support = capacity = budget = None
+    support = capacity = None
     for u, v in sorted(values, key=lambda e: (gadget.index(e[0]), gadget.index(e[1]))):
         if not adjacent(u, v):
             support = (u, v)

@@ -246,12 +246,9 @@ def test_cli_refuses_a_thirty_colour_blowup_before_counting_its_clouds(tmp_path,
     assert captured.err.count("exceeding the cap 200000") == 2 and "Traceback" not in captured.err
 
 
-def test_cli_fracmatch_refuses_a_thirty_colour_gadget_before_planning_it(tmp_path):
-    inst, gadget = tmp_path / "inst.json", tmp_path / "gadget.json"
-    assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", "30", "--out", str(inst)) == 0
-    assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/4", "--out", str(gadget)) == 0
-    # a fresh interpreter held to 1 GiB of address space, so a plan that
-    # did get built would fail there instead of filling this machine
+def _run_capped(*argv):
+    """``mmmkit`` run with ``argv`` in a fresh interpreter held to 1 GiB of
+    address space; the finished process and its wall time in seconds."""
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -261,10 +258,20 @@ def test_cli_fracmatch_refuses_a_thirty_colour_gadget_before_planning_it(tmp_pat
     src = str(Path(__file__).resolve().parents[1] / "src")
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-c", code, "fracmatch", "--in", str(gadget), "--out", str(tmp_path / "fm.json")],
+        [sys.executable, "-c", code, *argv],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
-    assert time.perf_counter() - start < 5
+    return done, time.perf_counter() - start
+
+
+def test_cli_fracmatch_refuses_a_thirty_colour_gadget_before_planning_it(tmp_path):
+    inst, gadget = tmp_path / "inst.json", tmp_path / "gadget.json"
+    assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", "30", "--out", str(inst)) == 0
+    assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/4", "--out", str(gadget)) == 0
+    # a plan that did get built would fail in the capped interpreter
+    # instead of filling this machine
+    done, seconds = _run_capped("fracmatch", "--in", str(gadget), "--out", str(tmp_path / "fm.json"))
+    assert seconds < 5
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == f"error: stage plan over {3 * 2**30} vertices exceeds the cap {MAX_PLAN_VERTICES}\n"
     assert not (tmp_path / "fm.json").exists()
@@ -275,21 +282,9 @@ def test_cli_solve_mmm_refuses_a_ten_colour_gadget_before_its_edge_masks(tmp_pat
     assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", "10", "--xi", "1/3", "--seed", "7",
                    "--out", str(inst)) == 0
     assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/8", "--out", str(gadget)) == 0
-    # 265,719 edges: the two edge-mask tables alone would take about 17 GB,
-    # so the fresh interpreter is held to 1 GiB of address space
-    code = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from mmmkit.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-c", code, "solve", "mmm", "--in", str(gadget), "--budget", "1"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
-    assert time.perf_counter() - start < 10
+    # 265,719 edges: the two edge-mask tables alone would take about 17 GB
+    done, seconds = _run_capped("solve", "mmm", "--in", str(gadget), "--budget", "1")
+    assert seconds < 10
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == (
         f"error: exact_mmm keeps two masks per edge and takes at most {MAX_MMM_EDGES} edges, not 265719\n"
