@@ -100,11 +100,14 @@ MATRIX: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("sseh-n4-dot", ("sseh", "--n", "4", "--epsilon", "1/4", "--format", "dot")),
     ("sseh-n8", ("sseh", "--n", "8", "--epsilon", "1/4", "--seed", "1")),
     ("sseh-n8-dot", ("sseh", "--n", "8", "--epsilon", "1/4", "--seed", "1", "--format", "dot")),
+    ("bipartise-sseh-n4", ("bipartise", "--in", "@sseh-n4")),
     ("export-blowup-k2-dot", ("export", "--in", "@blowup-k2", "--format", "dot")),
     ("export-blowup-c2", ("export", "--in", "@blowup-c2")),
     ("export-fracmatch-c3-csv", ("export", "--in", "@fracmatch-c3", "--format", "csv")),
     ("export-gadget-c2-dot", ("export", "--in", "@gadget-c2", "--format", "dot")),
     ("export-sseh-n4", ("export", "--in", "@sseh-n4")),
+    ("export-bipartise-graph", ("export", "--in", "@bipartise-graph")),
+    ("export-bipartise-graph-dot", ("export", "--in", "@bipartise-graph", "--format", "dot")),
     ("solve-mmm-gadget-c2", ("solve", "mmm", "--in", "@gadget-c2", *BUDGET)),
     ("solve-mmm-gadget-c2-unbudgeted", ("solve", "mmm", "--in", "@gadget-c2")),
     ("solve-vc-gadget-c2", ("solve", "vc", "--in", "@gadget-c2", *BUDGET)),
@@ -116,6 +119,15 @@ MATRIX: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("solve-vc-gadget-k2-base", ("solve", "vc", "--in", "@gadget-k2-base", *BUDGET)),
     ("solve-mbb-sseh-n4", ("solve", "mbb", "--in", "@sseh-n4", *BUDGET)),
     ("solve-mbb-sseh-n8", ("solve", "mbb", "--in", "@sseh-n8", *BUDGET)),
+    ("solve-mmm-sseh-n4", ("solve", "mmm", "--in", "@sseh-n4", *BUDGET)),
+    ("solve-vc-sseh-n4", ("solve", "vc", "--in", "@sseh-n4", *BUDGET)),
+    ("solve-mbb-bipartise-graph", ("solve", "mbb", "--in", "@bipartise-graph", *BUDGET)),
+    ("solve-mmm-bipartise-graph", ("solve", "mmm", "--in", "@bipartise-graph", *BUDGET)),
+    ("solve-vc-bipartise-graph", ("solve", "vc", "--in", "@bipartise-graph", *BUDGET)),
+    ("solve-mmm-graph", ("solve", "mmm", "--in", "@graph", *BUDGET)),
+    ("solve-vc-graph", ("solve", "vc", "--in", "@graph", *BUDGET)),
+    ("solve-mmm-blowup-c2", ("solve", "mmm", "--in", "@blowup-c2", *BUDGET)),
+    ("solve-vc-blowup-c2", ("solve", "vc", "--in", "@blowup-c2", *BUDGET)),
     ("verify-lemma-all", ("verify-lemma", "all")),
     ("verify-lemma-all-json", ("verify-lemma", "all", "--format", "json")),
     ("experiment-sweep", ("experiment", "@sweep", "--format", "csv")),
