@@ -60,19 +60,14 @@ class Bipartisation:
     def to_graph(self) -> Graph:
         if self.n_vertices > MAX_GRAPH_VERTICES:
             raise ValueError(f"refusing to materialize {self.n_vertices} vertices (cap {MAX_GRAPH_VERTICES})")
-        g = Graph(vertices=self.vertices())
-        for u, v in self.edges():
-            g.add_edge(u, v)
-        return g
+        return Graph(self.vertices(), self.edges())
 
     def to_bipartite(self) -> Bipartite:
-        bp = Bipartite(
+        return Bipartite(
             left=(BipVertex("l", v) for v in self._base_verts),
             right=(BipVertex("r", v) for v in self._base_verts),
+            edges=self.edges(),
         )
-        for u, v in self.edges():
-            bp.add_edge(u, v)
-        return bp
 
 
 def bipartise(base) -> Bipartisation:

@@ -112,10 +112,7 @@ class BlowupGraph:
             raise ValueError(
                 f"refusing to materialize {self.n_vertices} blowup vertices (cap {MAX_GRAPH_VERTICES})"
             )
-        g = Graph(vertices=self.vertices())
-        for u, v in self.edges():
-            g.add_edge(u, v)
-        return g
+        return Graph(self.vertices(), self.edges())
 
 
 def blow_up(gadget: GadgetGraph, rho: Fraction) -> BlowupGraph:

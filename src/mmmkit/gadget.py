@@ -23,8 +23,9 @@ from .graphs import Graph
 from .ulc import MAX_COLORS, Planted, UlcInstance
 
 FLAVORS = ("base", "extended")
-MAX_GRAPH_VERTICES = 200_000  # the largest gadget ``to_graph`` materializes
-MAX_PLAN_VERTICES = 1 << 21  # the largest gadget a stage plan walks: 8 variables at 18 colours
+MAX_GADGET_VERTICES = 1 << 21  # the largest gadget built, small enough for any subset walk: 8 variables at 18 colours
+MAX_GRAPH_VERTICES = 200_000  # the largest gadget ``to_graph`` materializes, in vertices
+MAX_GRAPH_EDGES = 1 << 20  # and in edges: 3 variables on a triangle at 11 colours, not at 12
 
 
 class GadgetVertex(NamedTuple):
@@ -61,6 +62,9 @@ class GadgetGraph:
     def __init__(self, instance: UlcInstance, epsilon: Fraction, flavor: str = "extended") -> None:
         if flavor not in FLAVORS:
             raise ValueError(f"flavor must be one of {FLAVORS}")
+        n_vertices = instance.num_vars << instance.num_colors
+        if n_vertices > MAX_GADGET_VERTICES:
+            raise ValueError(f"gadget with {n_vertices} vertices exceeds the cap {MAX_GADGET_VERTICES}")
         self.instance = instance
         self.epsilon = Fraction(epsilon)
         self.flavor = flavor
@@ -111,6 +115,13 @@ class GadgetGraph:
     @property
     def n_vertices(self) -> int:
         return self.num_vars * self.cloud_size
+
+    @property
+    def n_edges(self) -> int:
+        """3^m per constraint edge, as each colour lies in pi(S1), in S2 or in
+        neither, and (3^m - 1) / 2 per cloud joined to itself."""
+        pairs = 3**self.num_colors
+        return sum(pairs if x1 != x2 else (pairs - 1) // 2 for x1, x2 in self._images)
 
     def vertices(self) -> Iterator[GadgetVertex]:
         for x in range(self.num_vars):
@@ -232,10 +243,9 @@ class GadgetGraph:
     def to_graph(self) -> Graph:
         if self.n_vertices > MAX_GRAPH_VERTICES:
             raise ValueError(f"gadget with {self.n_vertices} vertices exceeds the cap {MAX_GRAPH_VERTICES}")
-        g = Graph(vertices=self.vertices())
-        for u, v in self.edges():
-            g.add_edge(u, v)
-        return g
+        if self.n_edges > MAX_GRAPH_EDGES:
+            raise ValueError(f"gadget with {self.n_edges} edges exceeds the cap {MAX_GRAPH_EDGES}")
+        return Graph(self.vertices(), self.edges())
 
 
 def build_gadget(instance: UlcInstance, epsilon: Fraction, flavor: str = "extended") -> GadgetGraph:
@@ -373,8 +383,6 @@ class StagePlan:
     def __init__(self, gadget: GadgetGraph) -> None:
         if gadget.flavor != "extended":
             raise ValueError("the saturation stages need the extended flavor (intra-cloud edges)")
-        if gadget.n_vertices > MAX_PLAN_VERTICES:
-            raise ValueError(f"stage plan over {gadget.n_vertices} vertices exceeds the cap {MAX_PLAN_VERTICES}")
         planted, full = gadget.planted, gadget.full_mask
         grounds = [
             full & ~(1 << planted.labelling[x]) if x in planted.core else full for x in range(gadget.num_vars)

@@ -1,10 +1,12 @@
-"""Graph containers and exact combinatorial checks.
+"""The one graph container and exact combinatorial checks.
 
-The checks in this module are deliberately independent of the constructions
-they validate: they only look at the graph through a tiny protocol
-(``vertices()``, ``edges()``, ``has_edge``, and ``edge_within`` where a graph
-offers one), so the same code verifies materialized graphs and the lazily
-generated reduction graphs.
+``Graph`` is the only materialized graph; ``Bipartite`` is a ``Graph`` with
+two named sides that refuses an edge not running from left to right, and
+its ``has_edge`` is symmetric like any graph's.  The checks in this module
+are deliberately independent of the constructions they validate: they only
+look at the graph through a tiny protocol (``vertices()``, ``edges()``,
+``has_edge``, and ``edge_within`` where a graph offers one), so the same
+code verifies materialized graphs and the lazily generated reduction graphs.
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ class Graph:
         return self
 
 
-class Bipartite:
-    """Bipartite graph with explicit sides and deterministic order."""
+class Bipartite(Graph):
+    """A ``Graph`` on ``left + right`` whose every edge runs from a left
+    vertex to a right one, and is stored in that orientation."""
 
     def __init__(
         self,
@@ -120,46 +123,18 @@ class Bipartite:
             raise ValueError("duplicate vertex within a side")
         if set(self.left) & set(self.right):
             raise ValueError("sides are not disjoint")
-        self._left_index = {v: i for i, v in enumerate(self.left)}
-        self._right_index = {v: i for i, v in enumerate(self.right)}
-        self._edge_list: list[tuple[Vertex, Vertex]] = []
-        self._edge_set: set[tuple[Vertex, Vertex]] = set()
-        for a, b in edges:
-            self.add_edge(a, b)
+        super().__init__(self.left + self.right, edges)
 
     def add_edge(self, a: Vertex, b: Vertex) -> None:
-        if a not in self._left_index or b not in self._right_index:
+        n_left = len(self.left)
+        if not self._index.get(a, n_left) < n_left <= self._index.get(b, -1):
             raise ValueError(f"edge ({a!r}, {b!r}) does not run from left to right")
-        if (a, b) in self._edge_set:
-            return
-        self._edge_set.add((a, b))
-        self._edge_list.append((a, b))
-
-    def has_edge(self, a: Vertex, b: Vertex) -> bool:
-        return (a, b) in self._edge_set
-
-    def vertices(self) -> tuple[Vertex, ...]:
-        return self.left + self.right
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.left) + len(self.right)
-
-    def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
-        return iter(self._edge_list)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self._edge_list)
+        super().add_edge(a, b)
 
     def to_graph(self) -> Graph:
-        g = Graph(vertices=self.left + self.right)
-        for a, b in sorted(
-            self._edge_list,
-            key=lambda e: (self._left_index[e[0]], self._right_index[e[1]]),
-        ):
-            g.add_edge(a, b)
-        return g
+        """A plain ``Graph`` with the edges sorted by left index, then right index."""
+        index = self._index
+        return Graph(self._vertices, sorted(self._edge_list, key=lambda e: (index[e[0]], index[e[1]])))
 
 
 def matched_vertices(matching: Iterable[tuple[Vertex, Vertex]]) -> set[Vertex]:

@@ -381,40 +381,34 @@ def _gadget_params(num_vars, num_colors, epsilon, xi, seed, **more) -> dict:
     }
 
 
-# lemma id -> (checks, parameter spec, description); the spec maps each
-# parameter to its default and its kind
+# lemma id -> (checks, parameter spec); the spec maps each parameter to its
+# default and its kind
 LEMMAS = {
     "is-weight": (
         _lemma_is_weight,
         _gadget_params(num_vars=4, num_colors=2, epsilon="1/4", xi=0, seed=0),
-        "planted set independence and weight",
     ),
     "weighted-yes": (
         _lemma_weighted_yes,
         _gadget_params(num_vars=4, num_colors=2, epsilon="1/4", xi=0, seed=0),
-        "planted maximal matching weight",
     ),
     "weighted-no": (
         _lemma_weighted_no,
         _gadget_params(num_vars=3, num_colors=2, epsilon="1/4", xi=0, seed=0, budget=(200_000, _size)),
-        "all maximal matchings complement an independent set",
     ),
     "saturation": (
         _lemma_saturation,
         _gadget_params(num_vars=4, num_colors=3, epsilon="1/8", xi="1/4", seed=1),
-        "fractional matching saturates all but the planted set",
     ),
     "blowup-completeness": (
         _lemma_blowup_completeness,
         _gadget_params(num_vars=3, num_colors=2, epsilon="1/4", xi=0, seed=0, rho=("1/2", _rational)),
-        "discretized matching is maximal and small",
     ),
     "blowup-soundness": (
         _lemma_blowup_soundness,
         _gadget_params(
             num_vars=3, num_colors=1, epsilon="1/4", xi=0, seed=0, rho=(3, _rational), budget=(200_000, _size)
         ),
-        "maximal blowup matchings give product covers",
     ),
     "path-cover": (
         _lemma_path_cover,
@@ -426,17 +420,14 @@ LEMMAS = {
             "budget": (2_000_000, _size),
             "exact": (True, _flag),
         },
-        "doubling, decomposition, and the three-halves cover",
     ),
     "sseh-yes": (
         _lemma_sseh_yes,
         {"n": (4, _size), "epsilon": ("1/4", _rational), "seed": (0, _seed)},
-        "planted biclique gives a small maximal matching",
     ),
     "sseh-no": (
         _lemma_sseh_no,
         {"n": (4, _size), "epsilon": ("1/4", _rational), "seed": (0, _seed), "budget": (5_000_000, _size)},
-        "biclique bound versus exact matching minimum",
     ),
     "total-vc": (
         _lemma_total_vc,
@@ -444,7 +435,6 @@ LEMMAS = {
             num_vars=3, num_colors=2, epsilon="1/4", xi=0, seed=0, rho=("1", _rational),
             n=(8, _size), p=(0.5, _probability), trials=(20, _size), budget=(200_000, _size),
         ),
-        "matched sets as total vertex covers",
     ),
 }
 
@@ -461,7 +451,7 @@ def verify_lemma(lemma_id: str, params: dict | None = None) -> LemmaReport:
     """
     if lemma_id not in LEMMAS:
         raise ValueError(f"unknown lemma {lemma_id!r}, expected one of {', '.join(LEMMAS)}")
-    func, spec, _ = LEMMAS[lemma_id]
+    func, spec = LEMMAS[lemma_id]
     merged = {key: default for key, (default, _) in spec.items()}
     for key, value in (params or {}).items():
         if key not in spec:

@@ -288,14 +288,13 @@ def graph_from_payload(payload, path: str = "$") -> Graph:
 
 
 def bipartite_to_payload(bip: Bipartite) -> dict:
-    li = {v: i for i, v in enumerate(bip.left)}
-    ri = {v: i for i, v in enumerate(bip.right)}
+    n_left = len(bip.left)
     return {
         "schema": SCHEMA,
         "kind": "bipartite",
         "left": [encode_vertex(v) for v in bip.left],
         "right": [encode_vertex(v) for v in bip.right],
-        "edges": [[li[u], ri[v]] for u, v in bip.edges()],
+        "edges": [[bip.index(u), bip.index(v) - n_left] for u, v in bip.edges()],
     }
 
 

@@ -2,13 +2,13 @@
 
 Everything here is deliberately independent of the gadget constructions:
 solvers see only a graph protocol (vertices and edges) plus an optional
-edge or vertex weight callable.  Each exact solver reads the graph once as
-bitmasks (``_indexed``) and walks its search tree from an explicit stack,
-so no input is too deep to search.  Every branch and bound search stops
-at its ``node_limit``; ``exact_mmm`` also refuses a graph whose edge masks
-would not fit in memory.  The vertex cover and the total vertex cover
-share one independent-set search (``_cover_search``); the total cover only
-adds a leaf test.
+edge or vertex weight callable.  All five exact searches, the biclique one
+included, read the graph once as bitmasks (``_indexed``) and walk their
+trees from an explicit stack, so no input is too deep to search.  Every
+branch and bound search stops at its ``node_limit``; ``exact_mmm`` also
+refuses a graph whose edge masks would not fit in memory.  The vertex cover
+and the total vertex cover share one independent-set search
+(``_cover_search``); the total cover only adds a leaf test.
 """
 
 from __future__ import annotations
@@ -299,11 +299,8 @@ def exact_mbb(bip: Bipartite, node_limit: int | None = None) -> SolveResult:
     found so far.
     """
     left, right = bip.left, bip.right
-    lpos = {v: i for i, v in enumerate(left)}
-    rpos = {v: i for i, v in enumerate(right)}
-    nb = [0] * len(left)  # right neighbour mask of each left vertex
-    for u, v in bip.edges():
-        nb[lpos[u]] |= 1 << rpos[v]
+    adj = _indexed(bip)[2]
+    nb = [mask >> len(left) for mask in adj[: len(left)]]  # right neighbour mask of each left vertex
 
     best_k, best_chosen, best_common = 0, 0, 0
     nodes = 0

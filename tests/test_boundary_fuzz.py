@@ -183,10 +183,10 @@ def test_every_malformed_payload_exits_0_or_2_with_one_error_line(tmp_path_facto
     assert_every_command_exits_0_or_2(path)
 
 
-LEMMA_PARAMS = [(lemma_id, key) for lemma_id, (_, spec, _) in LEMMAS.items() for key in spec]
+LEMMA_PARAMS = [(lemma_id, key) for lemma_id, (_, spec) in LEMMAS.items() for key in spec]
 # a stub for every lemma, so only the parsing and the spec check run: a valid
 # value may be far too large for the lemma itself
-STUBBED = {lemma_id: (lambda p: [], spec, about) for lemma_id, (_, spec, about) in LEMMAS.items()}
+STUBBED = {lemma_id: (lambda p: [], spec) for lemma_id, (_, spec) in LEMMAS.items()}
 
 
 @pytest.mark.parametrize("lemma_id, key", LEMMA_PARAMS)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from mmmkit.gadget import (
     FLAVORS,
+    MAX_GADGET_VERTICES,
+    MAX_GRAPH_EDGES,
     MAX_GRAPH_VERTICES,
     GadgetVertex,
     biased_weight,
@@ -43,9 +45,11 @@ def test_biased_weight_validation():
         biased_weight(2, 2, F(1, 4), 3)
 
 
-def test_total_weight_counts_subsets_by_size_at_thirty_colours():
-    # a loop over the 2^30 subsets of a cloud would take minutes
-    assert build_gadget(new_instance(3, 30, []), F(1, 4)).total_weight() == 1
+def test_total_weight_counts_subsets_by_size_at_the_vertex_cap():
+    # the largest gadget built: 2 clouds of 2^20 subsets, which no loop visits
+    assert build_gadget(new_instance(2, 20, []), F(1, 4)).total_weight() == 1
+    with pytest.raises(ValueError, match=f"gadget with {3 * 2**30} vertices exceeds the cap {MAX_GADGET_VERTICES}"):
+        build_gadget(new_instance(3, 30, []), F(1, 4))
 
 
 @pytest.mark.parametrize("num_vars,num_colors,eps", [(2, 1, F(1, 4)), (3, 2, F(1, 8)), (5, 4, F(3, 8))])
@@ -158,11 +162,30 @@ def test_to_graph_materializes_same_edges():
     gadget = build_gadget(two_var_instance(), F(1, 4))
     g = gadget.to_graph()
     assert g.n_vertices == 8
-    assert g.n_edges == len(set(gadget.edges()))
+    assert g.n_edges == len(set(gadget.edges())) == gadget.n_edges
     big = build_gadget(generate_yes(7, 15, seed=0), F(1, 4))  # 7 * 2^15 vertices
     assert big.n_vertices > MAX_GRAPH_VERTICES
     with pytest.raises(ValueError, match="exceeds the cap"):
         big.to_graph()
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("num_vars,num_colors,topology", [(3, 1, "cycle"), (4, 3, "complete"), (5, 4, "cycle")])
+def test_n_edges_counts_the_listed_edges(flavor, num_vars, num_colors, topology):
+    gadget = build_gadget(generate_yes(num_vars, num_colors, topology=topology, seed=3), F(1, 4), flavor)
+    assert gadget.n_edges == sum(1 for _ in gadget.edges())
+
+
+def test_to_graph_refuses_a_gadget_over_its_edge_cap_before_listing_an_edge():
+    def triangle(num_colors):
+        perm = tuple(range(num_colors))
+        return build_gadget(new_instance(3, num_colors, [((0, 1), perm), ((0, 2), perm), ((1, 2), perm)]), F(1, 8))
+
+    assert triangle(11).n_edges == 797_160 <= MAX_GRAPH_EDGES
+    over = triangle(12)  # 12,288 vertices, under the vertex cap
+    assert over.n_vertices <= MAX_GRAPH_VERTICES and over.n_edges == 2_391_483
+    with pytest.raises(ValueError, match=f"gadget with 2391483 edges exceeds the cap {MAX_GRAPH_EDGES}"):
+        over.to_graph()
 
 
 def test_edge_weight_is_the_plus_rule():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,8 @@ from mmmkit.graphs import (
     verify_maximal_matching_via_unmatched,
     verify_vertex_cover,
 )
-from mmmkit.solvers import greedy_maximal_matching
+from mmmkit.serialize import dumps, loads
+from mmmkit.solvers import exact_mbb, greedy_maximal_matching
 
 
 def path(n):
@@ -102,13 +105,13 @@ def test_bipartite_validation():
         Bipartite(left=[1, 2], right=[2, 3])
     bp = Bipartite(left=[1, 2], right=[3, 4])
     bp.add_edge(1, 3)
-    with pytest.raises(ValueError):
-        bp.add_edge(3, 1)  # left argument must come from the left side
-    with pytest.raises(ValueError):
-        bp.add_edge(1, 2)
-    assert bp.has_edge(1, 3)
+    # right to left (also when present the other way), within a side, or off both sides
+    for a, b in ((3, 1), (4, 2), (1, 2), (3, 4), (1, 5)):
+        with pytest.raises(ValueError, match="does not run from left to right"):
+            bp.add_edge(a, b)
+    assert bp.has_edge(1, 3) and bp.has_edge(3, 1)
     assert not bp.has_edge(1, 4)
-    assert bp.n_edges == 1
+    assert list(bp.edges()) == [(1, 3)]
 
 
 def test_bipartite_to_graph_keeps_edges():
@@ -118,3 +121,35 @@ def test_bipartite_to_graph_keeps_edges():
     assert g.has_edge("a", "b")
     assert not g.has_edge("a", "c")
     assert g.n_vertices == 3
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Sides of 0-6 vertices and a random subset of their pairs, in random order."""
+    left = list(range(draw(st.integers(0, 6))))
+    right = [f"r{j}" for j in range(draw(st.integers(0, 6)))]
+    pairs = draw(st.permutations([(a, b) for a in left for b in right]))
+    return left, right, pairs[: draw(st.integers(0, len(pairs)))]
+
+
+@given(bipartite_graphs())
+def test_bipartite_is_a_graph_on_its_two_sides(case):
+    left, right, edges = case
+    bp = Bipartite(left, right, edges)
+    assert bp.vertices() == tuple(left + right)
+    assert list(bp.edges()) == edges
+    for a in left:
+        for b in right:
+            assert bp.has_edge(a, b) == bp.has_edge(b, a) == ((a, b) in edges)
+    assert list(bp.to_graph().edges()) == sorted(edges, key=lambda e: (left.index(e[0]), right.index(e[1])))
+    text = dumps(bp)
+    assert dumps(loads(text)) == text
+    # brute force: min(|A|, |common right neighbours of A|) over every left subset A
+    best = max(
+        min(k, sum(all((a, b) in edges for a in chosen) for b in right))
+        for k in range(len(left) + 1)
+        for chosen in combinations(left, k)
+    )
+    result = exact_mbb(bp)
+    assert result.value == best
+    assert tuple(map(len, result.witness)) == (best, best)

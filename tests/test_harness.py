@@ -10,7 +10,7 @@ import pytest
 
 from mmmkit.cli import main
 from mmmkit.experiment import ExperimentConfig, run_experiment
-from mmmkit.gadget import MAX_PLAN_VERTICES
+from mmmkit.gadget import MAX_GADGET_VERTICES, MAX_GRAPH_EDGES
 from mmmkit.graphs import Graph, random_graph, verify_maximal_matching
 from mmmkit.lemmas import Check, LemmaReport, lemma_ids, verify_lemma
 from mmmkit.solvers import MAX_MMM_EDGES
@@ -229,9 +229,10 @@ def _gadget_file(tmp_path):
     return gadget
 
 
-def test_cli_refuses_a_thirty_colour_blowup_before_counting_its_clouds(tmp_path, capsys):
+def test_cli_refuses_a_blowup_of_the_largest_gadget_before_counting_its_clouds(tmp_path, capsys):
     inst, gadget = tmp_path / "inst.json", tmp_path / "gadget.json"
-    assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", "30", "--out", str(inst)) == 0
+    # 4 clouds of 2^19 vertices: a gadget at the vertex cap
+    assert run_cli("gen-ulc", "--num-vars", "4", "--num-colors", "19", "--out", str(inst)) == 0
     assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/4", "--out", str(gadget)) == 0
     blowup = tmp_path / "blowup.json"
     payload = {"schema": SCHEMA, "kind": "blowup_graph", "gadget": json.loads(gadget.read_text()), "rho": "1"}
@@ -264,17 +265,56 @@ def _run_capped(*argv):
     return done, time.perf_counter() - start
 
 
-def test_cli_fracmatch_refuses_a_thirty_colour_gadget_before_planning_it(tmp_path):
-    inst, gadget = tmp_path / "inst.json", tmp_path / "gadget.json"
-    assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", "30", "--out", str(inst)) == 0
-    assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/4", "--out", str(gadget)) == 0
-    # a plan that did get built would fail in the capped interpreter
-    # instead of filling this machine
-    done, seconds = _run_capped("fracmatch", "--in", str(gadget), "--out", str(tmp_path / "fm.json"))
+@pytest.fixture(scope="module")
+def oversized(tmp_path_factory):
+    """Input files for the oversized-gadget refusals: a 3-variable 13-colour
+    gadget (24,576 vertices, 7,174,452 edges), and over a 3-variable
+    30-colour instance a gadget and two fractional matchings, with one row
+    and with none."""
+    tmp = tmp_path_factory.mktemp("oversized")
+    paths = {name: tmp / f"{name}.json" for name in ("ulc13", "gadget13", "ulc30", "gadget30", "fm30-empty", "fm30-row")}
+    assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", "13", "--xi", "1/3", "--seed", "7",
+                   "--out", str(paths["ulc13"])) == 0
+    assert run_cli("build-gadget", "--in", str(paths["ulc13"]), "--epsilon", "1/8", "--out", str(paths["gadget13"])) == 0
+    assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", "30", "--out", str(paths["ulc30"])) == 0
+    gadget = {"schema": SCHEMA, "kind": "gadget_graph", "instance": json.loads(paths["ulc30"].read_text()),
+              "epsilon": "1/4", "flavor": "extended"}
+    paths["gadget30"].write_text(canonical_json(gadget))
+    row = [{"colors": [0], "variable": 0}, {"colors": [1], "variable": 0}, "1/1000"]
+    for name, rows in (("fm30-empty", []), ("fm30-row", [row])):
+        fm = {"schema": SCHEMA, "kind": "fractional_matching", "gadget": gadget, "edges": rows}
+        paths[name].write_text(canonical_json(fm))
+    return paths
+
+
+EDGES_13 = f"gadget with 7174452 edges exceeds the cap {MAX_GRAPH_EDGES}"
+VERTICES_30 = f"gadget with {3 * 2**30} vertices exceeds the cap {MAX_GADGET_VERTICES}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "vc", "--in", "@gadget13", "--budget", "10"), EDGES_13),
+        (("solve", "mmm", "--in", "@gadget13", "--budget", "10"), EDGES_13),
+        (("bipartise", "--in", "@gadget13"), EDGES_13),
+        (("verify-lemma", "weighted-yes", "--param", "num_colors=14"),
+         f"gadget with 28697812 edges exceeds the cap {MAX_GRAPH_EDGES}"),
+        (("verify-lemma", "is-weight", "--param", "num_colors=24"),
+         f"gadget with {4 * 2**24} vertices exceeds the cap {MAX_GADGET_VERTICES}"),
+        (("export", "--in", "@fm30-row"), VERTICES_30),
+        (("export", "--in", "@fm30-empty"), VERTICES_30),
+        (("build-gadget", "--in", "@ulc30", "--epsilon", "1/4"), VERTICES_30),
+        (("fracmatch", "--in", "@gadget30"), VERTICES_30),
+    ],
+    ids=["solve-vc-13", "solve-mmm-13", "bipartise-13", "weighted-yes-14", "is-weight-24", "export-fm-row-30",
+         "export-fm-empty-30", "build-gadget-30", "fracmatch-30"],
+)
+def test_cli_refuses_an_oversized_gadget_with_one_line(oversized, argv, message):
+    # a gadget that did get listed or walked would fail in the capped
+    # interpreter instead of filling this machine
+    done, seconds = _run_capped(*(str(oversized[a[1:]]) if a.startswith("@") else a for a in argv))
     assert seconds < 5
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr == f"error: stage plan over {3 * 2**30} vertices exceeds the cap {MAX_PLAN_VERTICES}\n"
-    assert not (tmp_path / "fm.json").exists()
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_cli_solve_mmm_refuses_a_ten_colour_gadget_before_its_edge_masks(tmp_path):

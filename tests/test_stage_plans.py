@@ -168,17 +168,14 @@ def test_plan_is_built_once_per_gadget(monkeypatch):
     assert calls == {"bracket_partner": len(plan.layer), "cycle_cover": 2}
 
 
-def test_stage_plan_refuses_a_gadget_over_its_vertex_cap(monkeypatch):
-    monkeypatch.setattr(mmmkit.gadget, "MAX_PLAN_VERTICES", 32)
+def test_no_gadget_over_the_vertex_cap_is_built_for_a_plan(monkeypatch):
+    monkeypatch.setattr(mmmkit.gadget, "MAX_GADGET_VERTICES", 32)
     at_cap = build_gadget(generate_yes(4, 3, seed=0), F(1, 8))  # 4 clouds of 8
     assert len(stage_plan(at_cap).pairs) > 0
-    over = build_gadget(generate_yes(5, 3, seed=0), F(1, 8))
-    with pytest.raises(ValueError, match="stage plan over 40 vertices exceeds the cap 32"):
-        stage_plan(over)
-    with pytest.raises(ValueError, match="exceeds the cap 32"):
-        yes_matching(over)
+    with pytest.raises(ValueError, match="gadget with 40 vertices exceeds the cap 32"):
+        build_gadget(generate_yes(5, 3, seed=0), F(1, 8))
 
 
-def test_stage_plan_cap_admits_the_eighteen_colour_probes():
+def test_gadget_vertex_cap_admits_the_eighteen_colour_probes():
     # the colour-ladder instances have four variables
-    assert 4 * 2**18 <= mmmkit.gadget.MAX_PLAN_VERTICES < 3 * 2**30
+    assert 4 * 2**18 <= mmmkit.gadget.MAX_GADGET_VERTICES < 3 * 2**30
