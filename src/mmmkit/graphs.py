@@ -126,8 +126,8 @@ class Bipartite(Graph):
         super().__init__(self.left + self.right, edges)
 
     def add_edge(self, a: Vertex, b: Vertex) -> None:
-        n_left = len(self.left)
-        if not self._index.get(a, n_left) < n_left <= self._index.get(b, -1):
+        n_left, n = len(self.left), len(self.left) + len(self.right)
+        if not self._index.get(a, n) < n_left <= self._index.get(b, n) < n:
             raise ValueError(f"edge ({a!r}, {b!r}) does not run from left to right")
         super().add_edge(a, b)
 

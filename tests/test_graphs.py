@@ -105,8 +105,9 @@ def test_bipartite_validation():
         Bipartite(left=[1, 2], right=[2, 3])
     bp = Bipartite(left=[1, 2], right=[3, 4])
     bp.add_edge(1, 3)
+    bp.add_vertex(6)
     # right to left (also when present the other way), within a side, or off both sides
-    for a, b in ((3, 1), (4, 2), (1, 2), (3, 4), (1, 5)):
+    for a, b in ((3, 1), (4, 2), (1, 2), (3, 4), (1, 5), (1, 6), (6, 3)):
         with pytest.raises(ValueError, match="does not run from left to right"):
             bp.add_edge(a, b)
     assert bp.has_edge(1, 3) and bp.has_edge(3, 1)
