@@ -19,9 +19,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import Bipartite, Graph, verify_matching, verify_vertex_cover
-
-MAX_GRAPH_VERTICES = 10_000  # the largest doubling ``to_graph`` materializes
+from .graphs import Bipartite, Graph, check_size, verify_matching, verify_vertex_cover
 
 
 class BipVertex(NamedTuple):
@@ -38,8 +36,7 @@ class Bipartisation:
     def __init__(self, base) -> None:
         self.base = base
         self._base_verts = tuple(base.vertices())
-        self.n_base = len(self._base_verts)
-        self.n_vertices = 2 * self.n_base
+        self.n_vertices = 2 * len(self._base_verts)
 
     def vertices(self) -> Iterator[BipVertex]:
         for v in self._base_verts:
@@ -57,12 +54,15 @@ class Bipartisation:
             yield (BipVertex("l", u), BipVertex("r", v))
             yield (BipVertex("l", v), BipVertex("r", u))
 
+    @property
+    def n_edges(self) -> int:
+        return 2 * self.base.n_edges
+
     def to_graph(self) -> Graph:
-        if self.n_vertices > MAX_GRAPH_VERTICES:
-            raise ValueError(f"refusing to materialize {self.n_vertices} vertices (cap {MAX_GRAPH_VERTICES})")
-        return Graph(self.vertices(), self.edges())
+        return Graph.of(self)
 
     def to_bipartite(self) -> Bipartite:
+        check_size(self.n_vertices, self.n_edges)
         return Bipartite(
             left=(BipVertex("l", v) for v in self._base_verts),
             right=(BipVertex("r", v) for v in self._base_verts),
@@ -211,6 +211,7 @@ def sseh_gadget(original: Bipartite, epsilon: Fraction) -> SsehGadget:
     if pad_size.denominator != 1:
         raise ValueError(f"pad size (1/2 + epsilon) n = {pad_size} is not an integer")
     pad_size = int(pad_size)
+    check_size(2 * (n + pad_size), n * n - original.n_edges + n * pad_size + pad_size * (n + pad_size))
     a_pad = tuple(("a'", i) for i in range(pad_size))
     b_pad = tuple(("b'", i) for i in range(pad_size))
     taken = set(a) | set(b)
@@ -284,6 +285,7 @@ def random_planted_biclique(
     if k.denominator != 1:
         raise ValueError(f"planted size (1/2 - epsilon) n = {k} is not an integer")
     k = int(k)
+    check_size(2 * n, n * n)  # the most edges it can draw
     rng = random.Random(seed)
     a = tuple(("a", i) for i in range(n))
     b = tuple(("b", i) for i in range(n))

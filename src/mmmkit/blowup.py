@@ -5,21 +5,20 @@ n times the vertex weight and n scales with 1/rho; copies of adjacent base
 vertices are completely joined, copies of the same vertex are not adjacent.
 Vertex covers of such graphs are essentially products (all or none of a
 vertex's copies), and the fractional matching of the base discretizes into
-an honest maximal matching on the copies.
+an honest maximal matching on the copies.  A blowup is counted exactly and
+takes no cap; only ``to_graph`` lists it, under ``graphs.check_size``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 from .fracmatch import FractionalMatching
 from .gadget import GadgetGraph, GadgetVertex, planted_independent_set, stage_plan
 from .graphs import CheckResult, Graph, verify_vertex_cover
-
-MAX_BLOWUP_VERTICES = 200_000
-MAX_GRAPH_VERTICES = 2_000  # the largest blowup ``to_graph`` materializes
 
 
 def round_half_away(q: Fraction) -> int:
@@ -51,33 +50,33 @@ class BlowupGraph:
         self.gadget = gadget
         self.rho = rho
         self.n = Fraction(gadget.n_vertices) / rho
-        self.n_v_by_size = tuple(
-            round_half_away(self.n * w) for w in gadget.weight_by_size
-        )
+        self.n_v_by_size = tuple(round_half_away(self.n * w) for w in gadget.weight_by_size)
         self.copies_by_size = tuple(4 * n for n in self.n_v_by_size)
         m = gadget.num_colors
-        total = sum(comb(m, k) * c for k, c in enumerate(self.copies_by_size)) * gadget.num_vars
-        if total > MAX_BLOWUP_VERTICES:
-            raise ValueError(f"blowup would have {total} vertices, exceeding the cap {MAX_BLOWUP_VERTICES}")
-        self.n_vertices = total
-        self._actives: list[GadgetVertex] = [
-            v for v in gadget.vertices() if self.n_v_by_size[v.subset.bit_count()] > 0
-        ]
-        self._offsets: dict[GadgetVertex, int] = {}
-        offset = 0
-        for v in self._actives:
-            self._offsets[v] = offset
-            offset += self.copy_count(v)
+        self.n_vertices = sum(comb(m, k) * c for k, c in enumerate(self.copies_by_size)) * gadget.num_vars
+
+    @cached_property
+    def _offsets(self) -> dict[GadgetVertex, int]:
+        """The blowup index of each kept base vertex's first copy, in base order, laid out on first use."""
+        offsets, offset = {}, 0
+        for v in self.gadget.vertices():
+            if self.copy_count(v) > 0:
+                offsets[v], offset = offset, offset + self.copy_count(v)
+        return offsets
+
+    @property
+    def n_edges(self) -> int:
+        return self.gadget.copy_edges(self.copies_by_size)
 
     def copy_count(self, base: GadgetVertex) -> int:
         return self.copies_by_size[base.subset.bit_count()]
 
     def base_vertices(self) -> tuple[GadgetVertex, ...]:
         """Base vertices that kept at least one copy, in base order."""
-        return tuple(self._actives)
+        return tuple(self._offsets)
 
     def vertices(self) -> Iterator[BlowupVertex]:
-        for v in self._actives:
+        for v in self._offsets:
             for i in range(self.copy_count(v)):
                 yield BlowupVertex(v, i)
 
@@ -108,11 +107,7 @@ class BlowupGraph:
                     yield (BlowupVertex(u, i), BlowupVertex(v, j))
 
     def to_graph(self) -> Graph:
-        if self.n_vertices > MAX_GRAPH_VERTICES:
-            raise ValueError(
-                f"refusing to materialize {self.n_vertices} blowup vertices (cap {MAX_GRAPH_VERTICES})"
-            )
-        return Graph(self.vertices(), self.edges())
+        return Graph.of(self)
 
 
 def blow_up(gadget: GadgetGraph, rho: Fraction) -> BlowupGraph:

@@ -20,12 +20,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bitsets import down_closure, elements_of, submasks
 from .graphs import Graph
-from .ulc import MAX_COLORS, Planted, UlcInstance
+from .ulc import Planted, UlcInstance
 
 FLAVORS = ("base", "extended")
 MAX_GADGET_VERTICES = 1 << 21  # the largest gadget built, small enough for any subset walk: 8 variables at 18 colours
-MAX_GRAPH_VERTICES = 200_000  # the largest gadget ``to_graph`` materializes, in vertices
-MAX_GRAPH_EDGES = 1 << 20  # and in edges: 3 variables on a triangle at 11 colours, not at 12
 
 
 class GadgetVertex(NamedTuple):
@@ -118,10 +116,17 @@ class GadgetGraph:
 
     @property
     def n_edges(self) -> int:
-        """3^m per constraint edge, as each colour lies in pi(S1), in S2 or in
-        neither, and (3^m - 1) / 2 per cloud joined to itself."""
-        pairs = 3**self.num_colors
-        return sum(pairs if x1 != x2 else (pairs - 1) // 2 for x1, x2 in self._images)
+        return self.copy_edges((1,) * (self.num_colors + 1))
+
+    def copy_edges(self, copies: Sequence[int]) -> int:
+        """Edges of the blowup with ``copies[k]`` copies of each k-subset: per
+        joined cloud pair, the sum over a, b of C(m, a) C(m - a, b) copies[a]
+        copies[b], as pi(S1) of size a misses C(m - a, b) b-subsets S2; per
+        cloud joined to itself, half of that less copies[0]^2 for ({}, {}).
+        One copy each gives 3^m and (3^m - 1) / 2."""
+        m = self.num_colors
+        pair = sum(comb(m, a) * comb(m - a, b) * copies[a] * copies[b] for a in range(m + 1) for b in range(m - a + 1))
+        return sum(pair if x1 != x2 else (pair - copies[0] ** 2) // 2 for x1, x2 in self._images)
 
     def vertices(self) -> Iterator[GadgetVertex]:
         for x in range(self.num_vars):
@@ -241,20 +246,11 @@ class GadgetGraph:
     # -- materialization ---------------------------------------------------
 
     def to_graph(self) -> Graph:
-        if self.n_vertices > MAX_GRAPH_VERTICES:
-            raise ValueError(f"gadget with {self.n_vertices} vertices exceeds the cap {MAX_GRAPH_VERTICES}")
-        if self.n_edges > MAX_GRAPH_EDGES:
-            raise ValueError(f"gadget with {self.n_edges} edges exceeds the cap {MAX_GRAPH_EDGES}")
-        return Graph(self.vertices(), self.edges())
+        return Graph.of(self)
 
 
 def build_gadget(instance: UlcInstance, epsilon: Fraction, flavor: str = "extended") -> GadgetGraph:
-    """Build the weighted gadget graph for an instance.
-
-    The number of colours is capped because every cloud has 2^|R| vertices.
-    """
-    if instance.num_colors > MAX_COLORS:
-        raise ValueError(f"colour count {instance.num_colors} exceeds the cap {MAX_COLORS}")
+    """Build the weighted gadget graph for an instance, if it has at most ``MAX_GADGET_VERTICES``."""
     return GadgetGraph(instance, epsilon, flavor)
 
 

@@ -1,12 +1,13 @@
-"""The one graph container and exact combinatorial checks.
+"""The one graph container, the one size rule, and exact combinatorial checks.
 
 ``Graph`` is the only materialized graph; ``Bipartite`` is a ``Graph`` with
 two named sides that refuses an edge not running from left to right, and
-its ``has_edge`` is symmetric like any graph's.  The checks in this module
-are deliberately independent of the constructions they validate: they only
-look at the graph through a tiny protocol (``vertices()``, ``edges()``,
-``has_edge``, and ``edge_within`` where a graph offers one), so the same
-code verifies materialized graphs and the lazily generated reduction graphs.
+its ``has_edge`` is symmetric like any graph's.  ``Graph.of`` lists a lazy
+graph only once ``check_size`` has passed its exact counts.  The checks here
+are independent of the constructions they validate: they only look at the
+graph through a tiny protocol (``vertices()``, ``edges()``, ``has_edge``,
+and ``edge_within`` where a graph offers one), so the same code verifies
+materialized graphs and the lazily generated reduction graphs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ from typing import Hashable, Iterable, Iterator, NamedTuple
 
 Vertex = Hashable
 Edge = tuple
+MAX_GRAPH_SIZE = 1 << 20  # vertices plus edges of the largest graph listed in memory or in a file
+
+
+def check_size(n_vertices: int, n_edges: int) -> None:
+    """Refuse a graph of more than ``MAX_GRAPH_SIZE`` vertices plus edges, before any is listed."""
+    if n_vertices + n_edges > MAX_GRAPH_SIZE:
+        raise ValueError(f"graph with {n_vertices} vertices and {n_edges} edges exceeds the size cap {MAX_GRAPH_SIZE}")
 
 
 class CheckResult(NamedTuple):
@@ -105,6 +113,12 @@ class Graph:
 
     def to_graph(self) -> Graph:
         return self
+
+    @staticmethod
+    def of(lazy) -> Graph:
+        """``lazy`` listed into a ``Graph``, once ``check_size`` has passed its exact counts."""
+        check_size(lazy.n_vertices, lazy.n_edges)
+        return Graph(lazy.vertices(), lazy.edges())
 
 
 class Bipartite(Graph):

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .bitsets import elements_of, mask_of
 from .gadget import GadgetGraph, GadgetVertex, build_gadget
-from .graphs import Bipartite, Graph
+from .graphs import Bipartite, Graph, check_size
 from .ulc import MAX_COLORS, Planted, UlcInstance, new_instance
 
 # blowups, fractional matchings and bipartite vertices are imported where
@@ -29,7 +29,6 @@ if TYPE_CHECKING:
     from .fracmatch import FractionalMatching
 
 SCHEMA = "mmmkit/1"
-DOT_CAP = 10_000  # the most vertices a DOT rendering writes
 
 
 class SchemaError(ValueError):
@@ -488,8 +487,9 @@ def dumps(obj) -> str:
 
 
 def render(obj, fmt: str, name: str = "G", weighted: bool = False) -> str:
-    """``obj`` as text in ``fmt``: canonical JSON, DOT for a graph of at most
-    ``DOT_CAP`` vertices, or CSV for a fractional matching."""
+    """``obj`` as text in ``fmt``: canonical JSON, DOT for a graph that
+    passes ``check_size`` (a DOT file lists every vertex and every edge), or
+    CSV for a fractional matching."""
     if fmt == "json":
         return dumps(obj)
     if fmt == "csv":
@@ -497,11 +497,9 @@ def render(obj, fmt: str, name: str = "G", weighted: bool = False) -> str:
             raise ValueError("CSV export is defined for fractional matchings only")
         rows = ({"u": f"({x},{{{c}}})", "v": f"({y},{{{d}}})", "value": value} for x, c, y, d, value in _support_text(obj))
         return rows_to_csv(("u", "v", "value"), rows)
-    n = getattr(obj, "n_vertices", None)
-    if n is None:
+    if not hasattr(obj, "n_edges"):
         raise ValueError(f"DOT output is defined for graphs only, not {type(obj).__name__}")
-    if n > DOT_CAP:
-        raise ValueError(f"graph has {n} vertices; DOT output capped at {DOT_CAP}")
+    check_size(obj.n_vertices, obj.n_edges)
     return graph_to_dot(obj, name, weighted)
 
 

@@ -13,7 +13,9 @@ from mmmkit.bipartite import (
     sseh_gadget,
     sseh_yes_matching,
 )
+from mmmkit import graphs
 from mmmkit.graphs import (
+    MAX_GRAPH_SIZE,
     Graph,
     random_graph,
     verify_matching,
@@ -246,3 +248,29 @@ def test_random_planted_biclique_is_complete():
             assert original.has_edge(u, v)
     with pytest.raises(ValueError):
         random_planted_biclique(5, F(1, 4))
+    # refused by the most edges it could draw, before it draws one
+    with pytest.raises(ValueError, match=f"graph with 2048 vertices and 1048576 edges exceeds the size cap {MAX_GRAPH_SIZE}"):
+        random_planted_biclique(1024, F(1, 4))
+
+
+def test_sseh_gadget_counts_its_padded_complement_before_adding_an_edge(monkeypatch):
+    original, _, _ = random_planted_biclique(8, F(1, 4), seed=3)
+    size = sseh_gadget(original, F(1, 4)).graph
+    exact = size.n_vertices + size.n_edges
+    assert exact == 2 * (8 + 6) + 64 - original.n_edges + 8 * 6 + 6 * 14
+    monkeypatch.setattr(graphs, "MAX_GRAPH_SIZE", exact)
+    sseh_gadget(original, F(1, 4))
+    monkeypatch.setattr(graphs, "MAX_GRAPH_SIZE", exact - 1)
+    with pytest.raises(ValueError, match=f"exceeds the size cap {exact - 1}"):
+        sseh_gadget(original, F(1, 4))
+
+
+def test_doubling_is_counted_before_it_is_listed(monkeypatch):
+    bip = bipartise(random_graph(9, 0.5, seed=4))
+    exact = bip.n_vertices + bip.n_edges
+    monkeypatch.setattr(graphs, "MAX_GRAPH_SIZE", exact)
+    assert bip.to_graph().n_edges == bip.to_bipartite().n_edges == bip.n_edges
+    monkeypatch.setattr(graphs, "MAX_GRAPH_SIZE", exact - 1)
+    for listing in (bip.to_graph, bip.to_bipartite):
+        with pytest.raises(ValueError, match=f"graph with 18 vertices and {bip.n_edges} edges exceeds the size cap"):
+            listing()

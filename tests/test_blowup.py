@@ -1,7 +1,11 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mmmkit.bipartite import bipartise
 from mmmkit.blowup import (
     BlowupVertex,
     CopyMatching,
@@ -15,7 +19,7 @@ from mmmkit.blowup import (
     total_vertex_cover_check,
 )
 from mmmkit.fracmatch import build_complement_pairing, build_full, build_layer_cycles, combine
-from mmmkit.gadget import GadgetVertex, build_gadget, planted_independent_set, stage_plan
+from mmmkit.gadget import FLAVORS, GadgetVertex, build_gadget, planted_independent_set, stage_plan
 from mmmkit.graphs import Graph, verify_vertex_cover
 from mmmkit.solvers import exact_min_vertex_cover
 from mmmkit.ulc import Planted, generate_yes, new_instance
@@ -97,8 +101,42 @@ def test_rho_scales_copy_counts():
     assert half.n_v_by_size == (round_half_away(F(24 * 9, 48)), round_half_away(F(24 * 3, 48)), round_half_away(F(24, 48)))
     with pytest.raises(ValueError):
         blow_up(gadget, F(0))
-    with pytest.raises(ValueError):
-        blow_up(gadget, F(1, 100_000))  # cap exceeded
+    tiny = blow_up(gadget, F(1, 100_000))  # counted, never listed: the lazy blowup takes no cap
+    assert tiny.copies_by_size == (900_000, 300_000, 100_000)
+    assert (tiny.n_vertices, tiny.n_edges) == (4_800_000, 8_910_000_000_000)
+    with pytest.raises(ValueError, match="graph with 4800000 vertices and 8910000000000 edges exceeds the size cap"):
+        tiny.to_graph()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    num_vars=st.integers(3, 5),
+    num_colors=st.integers(1, 3),
+    topology=st.sampled_from(("cycle", "complete")),
+    flavor=st.sampled_from(FLAVORS),
+    xi=st.sampled_from((F(0), F(1, 2))),
+    rho=st.sampled_from((F(1, 2), F(1), F(2))),
+    seed=st.integers(0, 2**16),
+)
+def test_exact_edge_counts_match_the_listed_edges(num_vars, num_colors, topology, flavor, xi, rho, seed):
+    gadget = build_gadget(generate_yes(num_vars, num_colors, xi=xi, topology=topology, seed=seed), F(1, 4), flavor)
+    blowup = blow_up(gadget, rho)
+    for lazy in (gadget, blowup, bipartise(gadget), bipartise(blowup)):
+        assert lazy.n_edges == sum(1 for _ in lazy.edges())
+        graph = lazy.to_graph()  # no edge is listed twice
+        assert (graph.n_vertices, graph.n_edges) == (lazy.n_vertices, lazy.n_edges)
+
+
+def test_the_warm_chain_runs_at_fourteen_colours(monkeypatch):
+    # the benchmark's grid item, imported as it stands: its lazy blowup of
+    # 3 variables at 14 colours (383,688 copies) is discretized and checked
+    # without being listed
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from grid import run_point
+    from tracing import NullTracer
+
+    text, copies = run_point(NullTracer(), 14, 3, F(1, 8), F(0), 7)
+    assert len(copies) == 122_262 and text
 
 
 def test_product_cover_and_verdict(small):

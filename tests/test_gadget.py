@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 from mmmkit.gadget import (
     FLAVORS,
     MAX_GADGET_VERTICES,
-    MAX_GRAPH_EDGES,
-    MAX_GRAPH_VERTICES,
     GadgetVertex,
     biased_weight,
     build_gadget,
     planted_independent_set,
     yes_matching,
 )
-from mmmkit.graphs import verify_maximal_matching
-from mmmkit.ulc import Planted, generate_yes, new_instance
+from mmmkit.graphs import MAX_GRAPH_SIZE, verify_maximal_matching
+from mmmkit.serialize import render
+from mmmkit.ulc import Planted, UlcInstance, generate_yes, new_instance
 
 ID2 = (0, 1)
 SWAP = (1, 0)
@@ -50,6 +49,12 @@ def test_total_weight_counts_subsets_by_size_at_the_vertex_cap():
     assert build_gadget(new_instance(2, 20, []), F(1, 4)).total_weight() == 1
     with pytest.raises(ValueError, match=f"gadget with {3 * 2**30} vertices exceeds the cap {MAX_GADGET_VERTICES}"):
         build_gadget(new_instance(3, 30, []), F(1, 4))
+
+
+def test_an_instance_over_the_colour_cap_is_refused_by_the_vertex_cap():
+    # built directly, past ``new_instance`` and its colour check
+    with pytest.raises(ValueError, match=f"gadget with {2**31} vertices exceeds the cap {MAX_GADGET_VERTICES}"):
+        build_gadget(UlcInstance(1, 31, (), ()), F(1, 4))
 
 
 @pytest.mark.parametrize("num_vars,num_colors,eps", [(2, 1, F(1, 4)), (3, 2, F(1, 8)), (5, 4, F(3, 8))])
@@ -164,9 +169,14 @@ def test_to_graph_materializes_same_edges():
     assert g.n_vertices == 8
     assert g.n_edges == len(set(gadget.edges()))
     big = build_gadget(generate_yes(7, 15, seed=0), F(1, 4))  # 7 * 2^15 vertices
-    assert big.n_vertices > MAX_GRAPH_VERTICES
-    with pytest.raises(ValueError, match="exceeds the cap"):
+    assert big.n_vertices + big.n_edges > MAX_GRAPH_SIZE
+    with pytest.raises(ValueError, match="exceeds the size cap"):
         big.to_graph()
+    # no edges, but 2^21 vertices: the rule counts both
+    edgeless = build_gadget(new_instance(4, 19, []), F(1, 4), "base")
+    assert edgeless.n_edges == 0
+    with pytest.raises(ValueError, match=f"graph with {2**21} vertices and 0 edges exceeds the size cap {MAX_GRAPH_SIZE}"):
+        edgeless.to_graph()
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -176,16 +186,24 @@ def test_n_edges_counts_the_listed_edges(flavor, num_vars, num_colors, topology)
     assert gadget.n_edges == sum(1 for _ in gadget.edges())
 
 
-def test_to_graph_refuses_a_gadget_over_its_edge_cap_before_listing_an_edge():
+def test_to_graph_refuses_a_gadget_over_the_size_cap_before_listing_an_edge():
     def triangle(num_colors):
         perm = tuple(range(num_colors))
         return build_gadget(new_instance(3, num_colors, [((0, 1), perm), ((0, 2), perm), ((1, 2), perm)]), F(1, 8))
 
-    assert triangle(11).n_edges == 797_160 <= MAX_GRAPH_EDGES
-    over = triangle(12)  # 12,288 vertices, under the vertex cap
-    assert over.n_vertices <= MAX_GRAPH_VERTICES and over.n_edges == 2_391_483
-    with pytest.raises(ValueError, match=f"gadget with 2391483 edges exceeds the cap {MAX_GRAPH_EDGES}"):
+    assert 3 * 2**11 + triangle(11).n_edges == 3 * 2**11 + 797_160 <= MAX_GRAPH_SIZE
+    over = triangle(12)
+    assert over.n_vertices == 12_288 and over.n_edges == 2_391_483
+    with pytest.raises(ValueError, match=f"graph with 12288 vertices and 2391483 edges exceeds the size cap {MAX_GRAPH_SIZE}"):
         over.to_graph()
+
+
+def test_dot_output_is_refused_over_the_size_cap():
+    # a DOT file lists every edge: 8,192 vertices and 1,062,880 edges
+    gadget = build_gadget(generate_yes(4, 11, seed=0), F(1, 4))
+    assert (gadget.n_vertices, gadget.n_edges) == (8_192, 1_062_880)
+    with pytest.raises(ValueError, match=f"graph with 8192 vertices and 1062880 edges exceeds the size cap {MAX_GRAPH_SIZE}"):
+        render(gadget, "dot")
 
 
 def test_edge_weight_is_the_plus_rule():

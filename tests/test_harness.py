@@ -10,8 +10,8 @@ import pytest
 
 from mmmkit.cli import main
 from mmmkit.experiment import ExperimentConfig, run_experiment
-from mmmkit.gadget import MAX_GADGET_VERTICES, MAX_GRAPH_EDGES
-from mmmkit.graphs import Graph, random_graph, verify_maximal_matching
+from mmmkit.gadget import MAX_GADGET_VERTICES
+from mmmkit.graphs import MAX_GRAPH_SIZE, Graph, random_graph, verify_maximal_matching
 from mmmkit.lemmas import Check, LemmaReport, lemma_ids, verify_lemma
 from mmmkit.solvers import MAX_MMM_EDGES
 from mmmkit.serialize import SCHEMA, SchemaError, canonical_json, graph_to_payload
@@ -229,22 +229,25 @@ def _gadget_file(tmp_path):
     return gadget
 
 
-def test_cli_refuses_a_blowup_of_the_largest_gadget_before_counting_its_clouds(tmp_path, capsys):
+def test_cli_blows_up_the_largest_gadget_lazily_and_refuses_to_list_it(tmp_path, capsys):
     inst, gadget = tmp_path / "inst.json", tmp_path / "gadget.json"
     # 4 clouds of 2^19 vertices: a gadget at the vertex cap
     assert run_cli("gen-ulc", "--num-vars", "4", "--num-colors", "19", "--out", str(inst)) == 0
     assert run_cli("build-gadget", "--in", str(inst), "--epsilon", "1/4", "--out", str(gadget)) == 0
     blowup = tmp_path / "blowup.json"
     payload = {"schema": SCHEMA, "kind": "blowup_graph", "gadget": json.loads(gadget.read_text()), "rho": "1"}
-    blowup.write_text(canonical_json(payload))
     capsys.readouterr()
     start = time.perf_counter()
-    assert run_cli("blowup", "--in", str(gadget), "--rho", "1") == 2
-    assert run_cli("export", "--in", str(blowup)) == 2
+    assert run_cli("blowup", "--in", str(gadget), "--rho", "1", "--out", str(blowup)) == 0
+    assert blowup.read_text() == canonical_json(payload) + "\n"
+    assert run_cli("export", "--in", str(blowup)) == 0
+    assert run_cli("solve", "vc", "--in", str(blowup)) == 2
     assert time.perf_counter() - start < 5
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("exceeding the cap 200000") == 2 and "Traceback" not in captured.err
+    assert captured.out == canonical_json(payload) + "\n"
+    assert captured.err == (
+        f"error: graph with 7661920 vertices and 7267691204928 edges exceeds the size cap {MAX_GRAPH_SIZE}\n"
+    )
 
 
 def _run_capped(*argv):
@@ -267,12 +270,17 @@ def _run_capped(*argv):
 
 @pytest.fixture(scope="module")
 def oversized(tmp_path_factory):
-    """Input files for the oversized-gadget refusals: a 3-variable 13-colour
-    gadget (24,576 vertices, 7,174,452 edges), and over a 3-variable
-    30-colour instance a gadget and two fractional matchings, with one row
-    and with none."""
+    """Input files for the oversized-graph refusals: a 3-variable 13-colour
+    gadget (24,576 vertices, 7,174,452 edges); over a 3-variable 30-colour
+    instance a gadget and two fractional matchings, with one row and with
+    none; an edgeless 4-variable 19-colour base-flavour gadget (2^21
+    vertices, no edge); and two blowups of a 5-variable complete 2-colour
+    gadget, of 2,000 copies and 1,631,760 edges at rho 1/25, and of 8,840
+    copies and 31,841,040 edges at rho 1/110."""
     tmp = tmp_path_factory.mktemp("oversized")
-    paths = {name: tmp / f"{name}.json" for name in ("ulc13", "gadget13", "ulc30", "gadget30", "fm30-empty", "fm30-row")}
+    names = ("ulc13", "gadget13", "ulc30", "gadget30", "fm30-empty", "fm30-row", "edgeless19",
+             "ulc5", "gadget5", "blowup25", "blowup110")
+    paths = {name: tmp / f"{name}.json" for name in names}
     assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", "13", "--xi", "1/3", "--seed", "7",
                    "--out", str(paths["ulc13"])) == 0
     assert run_cli("build-gadget", "--in", str(paths["ulc13"]), "--epsilon", "1/8", "--out", str(paths["gadget13"])) == 0
@@ -284,10 +292,34 @@ def oversized(tmp_path_factory):
     for name, rows in (("fm30-empty", []), ("fm30-row", [row])):
         fm = {"schema": SCHEMA, "kind": "fractional_matching", "gadget": gadget, "edges": rows}
         paths[name].write_text(canonical_json(fm))
+    edgeless = {"schema": SCHEMA, "kind": "gadget_graph", "epsilon": "1/4", "flavor": "base",
+                "instance": {"schema": SCHEMA, "kind": "ulc_instance", "num_vars": 4, "num_colors": 19,
+                             "edges": [], "constraints": []}}
+    paths["edgeless19"].write_text(canonical_json(edgeless))
+    assert run_cli("gen-ulc", "--num-vars", "5", "--num-colors", "2", "--topology", "complete", "--seed", "0",
+                   "--out", str(paths["ulc5"])) == 0
+    assert run_cli("build-gadget", "--in", str(paths["ulc5"]), "--epsilon", "1/4", "--out", str(paths["gadget5"])) == 0
+    for rho in ("25", "110"):
+        assert run_cli("blowup", "--in", str(paths["gadget5"]), "--rho", f"1/{rho}",
+                       "--out", str(paths[f"blowup{rho}"])) == 0
     return paths
 
 
-EDGES_13 = f"gadget with 7174452 edges exceeds the cap {MAX_GRAPH_EDGES}"
+def _assert_refused_with_one_line(oversized, argv, message):
+    # a graph that did get listed or walked would fail in the capped
+    # interpreter instead of filling this machine
+    done, seconds = _run_capped(*(str(oversized[a[1:]]) if a.startswith("@") else a for a in argv))
+    assert seconds < 5
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+
+
+def _too_big(n_vertices, n_edges):
+    return f"graph with {n_vertices} vertices and {n_edges} edges exceeds the size cap {MAX_GRAPH_SIZE}"
+
+
+EDGES_13 = _too_big(24_576, 7_174_452)
+BLOWUP_25 = _too_big(2_000, 1_631_760)
+BLOWUP_110 = _too_big(8_840, 31_841_040)
 VERTICES_30 = f"gadget with {3 * 2**30} vertices exceeds the cap {MAX_GADGET_VERTICES}"
 
 
@@ -297,8 +329,7 @@ VERTICES_30 = f"gadget with {3 * 2**30} vertices exceeds the cap {MAX_GADGET_VER
         (("solve", "vc", "--in", "@gadget13", "--budget", "10"), EDGES_13),
         (("solve", "mmm", "--in", "@gadget13", "--budget", "10"), EDGES_13),
         (("bipartise", "--in", "@gadget13"), EDGES_13),
-        (("verify-lemma", "weighted-yes", "--param", "num_colors=14"),
-         f"gadget with 28697812 edges exceeds the cap {MAX_GRAPH_EDGES}"),
+        (("verify-lemma", "weighted-yes", "--param", "num_colors=14"), _too_big(65_536, 28_697_812)),
         (("verify-lemma", "is-weight", "--param", "num_colors=24"),
          f"gadget with {4 * 2**24} vertices exceeds the cap {MAX_GADGET_VERTICES}"),
         (("export", "--in", "@fm30-row"), VERTICES_30),
@@ -310,11 +341,27 @@ VERTICES_30 = f"gadget with {3 * 2**30} vertices exceeds the cap {MAX_GADGET_VER
          "export-fm-empty-30", "build-gadget-30", "fracmatch-30"],
 )
 def test_cli_refuses_an_oversized_gadget_with_one_line(oversized, argv, message):
-    # a gadget that did get listed or walked would fail in the capped
-    # interpreter instead of filling this machine
-    done, seconds = _run_capped(*(str(oversized[a[1:]]) if a.startswith("@") else a for a in argv))
-    assert seconds < 5
-    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+    _assert_refused_with_one_line(oversized, argv, message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "vc", "--in", "@edgeless19"), _too_big(2**21, 0)),
+        (("bipartise", "--in", "@blowup25"), BLOWUP_25),
+        (("solve", "vc", "--in", "@blowup25", "--budget", "10"), BLOWUP_25),
+        (("export", "--in", "@blowup110", "--format", "dot"), BLOWUP_110),
+        (("blowup", "--in", "@gadget5", "--rho", "1/110", "--format", "dot"), BLOWUP_110),
+        (("sseh", "--n", "1200", "--epsilon", "1/4"), _too_big(2_400, 1_440_000)),
+        (("sseh", "--n", "2000", "--epsilon", "1/4"), _too_big(4_000, 4_000_000)),
+        (("verify-lemma", "path-cover", "--param", "n=2000", "--param", "p=0.5"), _too_big(4_000, 1_999_688)),
+    ],
+    ids=["solve-vc-edgeless-19", "bipartise-blowup-25", "solve-vc-blowup-25", "export-dot-blowup-110",
+         "blowup-dot-110", "sseh-1200", "sseh-2000", "path-cover-2000"],
+)
+def test_cli_refuses_an_oversized_graph_with_one_line(oversized, argv, message):
+    # every graph is counted before it is listed, by vertices plus edges
+    _assert_refused_with_one_line(oversized, argv, message)
 
 
 def test_cli_solve_mmm_refuses_a_ten_colour_gadget_before_its_edge_masks(tmp_path):
