@@ -107,9 +107,11 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_bipartise(args) -> int:
     from .bipartite import bipartise
+    from .graphs import check_size
 
-    base = _read(args.input, *GRAPH_KINDS, needs="bipartise needs a graph payload").to_graph()
-    return _emit(args, bipartise(base).to_bipartite(), "doubled")
+    base = _read(args.input, *GRAPH_KINDS, needs="bipartise needs a graph payload")
+    check_size(2 * base.n_vertices, 2 * base.n_edges)  # the double, before the base is listed
+    return _emit(args, bipartise(base.to_graph()).to_bipartite(), "doubled")
 
 
 def _cmd_sseh(args) -> int:

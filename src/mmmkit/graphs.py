@@ -207,11 +207,13 @@ verify_maximal_matching_via_unmatched = verify_maximal_matching  # the name the 
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi style graph on vertices 0..n-1 with edge probability p."""
+    """Erdos-Renyi style graph on vertices 0..n-1 with edge probability p, counted by ``check_size`` row by row."""
+    check_size(n, 0)
     rng = random.Random(seed)
     g = Graph(vertices=range(n))
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
                 g.add_edge(u, v)
+        check_size(n, g.n_edges)
     return g

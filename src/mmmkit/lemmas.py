@@ -17,7 +17,7 @@ from typing import NamedTuple
 # solvers) in its own body, so a cold run of one lemma loads only those.
 from .fracmatch import build_full, saturates_exactly_outside_planted_set, validate
 from .gadget import build_gadget, planted_independent_set, yes_matching
-from .graphs import matched_vertices, random_graph, verify_maximal_matching
+from .graphs import check_size, matched_vertices, random_graph, verify_maximal_matching
 from .ulc import generate_yes
 
 
@@ -40,19 +40,14 @@ class LemmaReport(NamedTuple):
     def to_payload(self) -> dict:
         from .serialize import SCHEMA, frac_str
 
-        params = {
-            k: frac_str(v) if isinstance(v, Fraction) else v
-            for k, v in sorted(self.params.items())
-        }
+        params = {k: frac_str(v) if isinstance(v, Fraction) else v for k, v in sorted(self.params.items())}
         return {
             "schema": SCHEMA,
             "kind": "lemma_report",
             "lemma": self.lemma,
             "params": params,
             "ok": self.ok,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks
-            ],
+            "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks],
         }
 
     def render_text(self) -> str:
@@ -311,13 +306,13 @@ def _lemma_total_vc(p) -> list[Check]:
 
     instance, gadget = _instance_and_gadget(p)
     blowup = blow_up(gadget, Fraction(p["rho"]))
+    check_size(blowup.n_vertices, blowup.n_edges)  # the check below walks every copy and every edge
     fm = build_full(gadget)
     matched = discretize_matching(fm, blowup).matched_vertices()
     verdict = total_vertex_cover_check(blowup, matched)
     detail = f"{len(matched)} vertices" if verdict else str(verdict.witness)
     checks = [Check("matched-set-total-cover", bool(verdict), detail)]
-    ok = True
-    detail = ""
+    ok, detail = True, ""
     for t in range(p["trials"]):
         g = random_graph(p["n"], p["p"], seed=p["seed"] * 1000 + t)
         tvc = exact_min_total_vertex_cover(g, node_limit=p["budget"])

@@ -25,6 +25,22 @@ def path(n):
     return g
 
 
+def test_random_graph_is_refused_by_the_size_cap_as_it_is_drawn(monkeypatch):
+    from mmmkit import graphs
+
+    # K8 has 28 edges; rows add 7, 6, ..., 1, so the count is checked after each
+    monkeypatch.setattr(graphs, "MAX_GRAPH_SIZE", 8 + 28)
+    assert random_graph(8, 1.0, seed=0).n_edges == 28
+    monkeypatch.setattr(graphs, "MAX_GRAPH_SIZE", 8 + 27)
+    with pytest.raises(ValueError, match="graph with 8 vertices and 28 edges exceeds the size cap 35"):
+        random_graph(8, 1.0, seed=0)
+    monkeypatch.setattr(graphs, "MAX_GRAPH_SIZE", 8 + 12)
+    with pytest.raises(ValueError, match="graph with 8 vertices and 13 edges exceeds"):
+        random_graph(8, 1.0, seed=0)
+    with pytest.raises(ValueError, match="graph with 21 vertices and 0 edges exceeds"):
+        random_graph(21, 0.0, seed=0)
+
+
 def test_graph_basics():
     g = path(4)
     assert g.n_vertices == 4

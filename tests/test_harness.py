@@ -270,20 +270,23 @@ def _run_capped(*argv):
 
 @pytest.fixture(scope="module")
 def oversized(tmp_path_factory):
-    """Input files for the oversized-graph refusals: a 3-variable 13-colour
-    gadget (24,576 vertices, 7,174,452 edges); over a 3-variable 30-colour
+    """Input files for the oversized-graph refusals: 3-variable gadgets at
+    11 colours (6,144 vertices, 797,160 edges, under the size cap while its
+    double is over it) and at 13 colours (24,576 vertices, 7,174,452 edges); over a 3-variable 30-colour
     instance a gadget and two fractional matchings, with one row and with
     none; an edgeless 4-variable 19-colour base-flavour gadget (2^21
     vertices, no edge); and two blowups of a 5-variable complete 2-colour
     gadget, of 2,000 copies and 1,631,760 edges at rho 1/25, and of 8,840
     copies and 31,841,040 edges at rho 1/110."""
     tmp = tmp_path_factory.mktemp("oversized")
-    names = ("ulc13", "gadget13", "ulc30", "gadget30", "fm30-empty", "fm30-row", "edgeless19",
-             "ulc5", "gadget5", "blowup25", "blowup110")
+    names = ("ulc11", "gadget11", "ulc13", "gadget13", "ulc30", "gadget30", "fm30-empty", "fm30-row",
+             "edgeless19", "ulc5", "gadget5", "blowup25", "blowup110")
     paths = {name: tmp / f"{name}.json" for name in names}
-    assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", "13", "--xi", "1/3", "--seed", "7",
-                   "--out", str(paths["ulc13"])) == 0
-    assert run_cli("build-gadget", "--in", str(paths["ulc13"]), "--epsilon", "1/8", "--out", str(paths["gadget13"])) == 0
+    for colors in ("11", "13"):
+        assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", colors, "--xi", "1/3", "--seed", "7",
+                       "--out", str(paths[f"ulc{colors}"])) == 0
+        assert run_cli("build-gadget", "--in", str(paths[f"ulc{colors}"]), "--epsilon", "1/8",
+                       "--out", str(paths[f"gadget{colors}"])) == 0
     assert run_cli("gen-ulc", "--num-vars", "3", "--num-colors", "30", "--out", str(paths["ulc30"])) == 0
     gadget = {"schema": SCHEMA, "kind": "gadget_graph", "instance": json.loads(paths["ulc30"].read_text()),
               "epsilon": "1/4", "flavor": "extended"}
@@ -328,7 +331,7 @@ VERTICES_30 = f"gadget with {3 * 2**30} vertices exceeds the cap {MAX_GADGET_VER
     [
         (("solve", "vc", "--in", "@gadget13", "--budget", "10"), EDGES_13),
         (("solve", "mmm", "--in", "@gadget13", "--budget", "10"), EDGES_13),
-        (("bipartise", "--in", "@gadget13"), EDGES_13),
+        (("bipartise", "--in", "@gadget13"), _too_big(49_152, 14_348_904)),
         (("verify-lemma", "weighted-yes", "--param", "num_colors=14"), _too_big(65_536, 28_697_812)),
         (("verify-lemma", "is-weight", "--param", "num_colors=24"),
          f"gadget with {4 * 2**24} vertices exceeds the cap {MAX_GADGET_VERTICES}"),
@@ -348,16 +351,20 @@ def test_cli_refuses_an_oversized_gadget_with_one_line(oversized, argv, message)
     "argv, message",
     [
         (("solve", "vc", "--in", "@edgeless19"), _too_big(2**21, 0)),
-        (("bipartise", "--in", "@blowup25"), BLOWUP_25),
+        (("bipartise", "--in", "@blowup25"), _too_big(4_000, 3_263_520)),
+        (("bipartise", "--in", "@gadget11"), _too_big(12_288, 1_594_320)),
         (("solve", "vc", "--in", "@blowup25", "--budget", "10"), BLOWUP_25),
         (("export", "--in", "@blowup110", "--format", "dot"), BLOWUP_110),
         (("blowup", "--in", "@gadget5", "--rho", "1/110", "--format", "dot"), BLOWUP_110),
         (("sseh", "--n", "1200", "--epsilon", "1/4"), _too_big(2_400, 1_440_000)),
         (("sseh", "--n", "2000", "--epsilon", "1/4"), _too_big(4_000, 4_000_000)),
         (("verify-lemma", "path-cover", "--param", "n=2000", "--param", "p=0.5"), _too_big(4_000, 1_999_688)),
+        (("verify-lemma", "path-cover", "--param", "n=10000", "--param", "p=0.5"), _too_big(10_000, 1_039_728)),
+        (("verify-lemma", "total-vc", "--param", "rho=1/100000"), _too_big(4_800_000, 8_910_000_000_000)),
     ],
-    ids=["solve-vc-edgeless-19", "bipartise-blowup-25", "solve-vc-blowup-25", "export-dot-blowup-110",
-         "blowup-dot-110", "sseh-1200", "sseh-2000", "path-cover-2000"],
+    ids=["solve-vc-edgeless-19", "bipartise-blowup-25", "bipartise-gadget-11", "solve-vc-blowup-25",
+         "export-dot-blowup-110", "blowup-dot-110", "sseh-1200", "sseh-2000", "path-cover-2000",
+         "path-cover-10000", "total-vc-rho-1e-5"],
 )
 def test_cli_refuses_an_oversized_graph_with_one_line(oversized, argv, message):
     # every graph is counted before it is listed, by vertices plus edges
