@@ -6,9 +6,11 @@ edge or vertex weight callable.  All five exact searches, the biclique one
 included, read the graph once as bitmasks (``_indexed``) and walk their
 trees from an explicit stack, so no input is too deep to search.  Every
 branch and bound search stops at its ``node_limit``; ``exact_mmm`` also
-refuses a graph whose edge masks would not fit in memory.  The vertex cover
-and the total vertex cover share one independent-set search
-(``_cover_search``); the total cover only adds a leaf test.
+refuses a graph whose edge masks would not fit in memory.  ``exact_mmm``
+branches fail-first, at the vertex with the fewest edges left to choose
+from.  The vertex cover and the total vertex cover share one
+independent-set search (``_cover_search``); the total cover only adds a
+leaf test.
 """
 
 from __future__ import annotations
@@ -99,10 +101,14 @@ def exact_mmm(
 ) -> SolveResult:
     """Minimum (weight) maximal matching by branch and bound.
 
-    Branches on the lowest-index edge whose endpoints are both free: any
-    maximal matching must put some edge at one of those two endpoints, so
-    the candidates are exactly the free edges touching them.  Later
-    candidates ban the earlier ones to keep the search tree duplicate-free.
+    Branches at the most constrained vertex: of the vertices with a free
+    edge (one whose endpoints are both unmatched), the one with the fewest
+    allowed edges, lowest index on ties.  Any maximal matching must put
+    some edge at an endpoint of that vertex's lowest free edge, so the
+    candidates are exactly the allowed edges touching its two endpoints.
+    Later candidates ban the earlier ones to keep the search tree
+    duplicate-free.  A node is cut when its value plus a bound from
+    disjoint free edges, grown from the lowest one, cannot beat the best.
     Edge weights must be positive ints or Fractions; the search runs on
     edge bitmasks with the weights scaled to integers over their common
     denominator, and a weighted call hands back a ``Fraction``.  A graph of
@@ -155,8 +161,7 @@ def exact_mmm(
             continue
         # lower bound: a disjoint set of undominated edges, each needing a
         # matched endpoint, two per future matching edge at best
-        first = (free & -free).bit_length() - 1
-        rest = free & keep[first]
+        rest = free & keep[(free & -free).bit_length() - 1]
         disjoint = 1
         while rest:
             rest &= keep[(rest & -rest).bit_length() - 1]
@@ -166,6 +171,16 @@ def exact_mmm(
                 break
         if value + (disjoint + 1) // 2 * min_w >= best_value:
             continue
+        # branch at the vertex with a free edge and the fewest allowed edges
+        fewest = len(edges) + 1
+        for mask in at:
+            if mask & free:
+                count = (mask & allowed).bit_count()
+                if count < fewest:
+                    pick, fewest = mask & free, count
+                    if count < 2:
+                        break
+        first = (pick & -pick).bit_length() - 1
         candidates = allowed & kill[first]
         new_ban = banned
         children = []

@@ -790,13 +790,18 @@ def test_cli_solve_vc_obeys_the_budget(tmp_path, capsys):
 
 
 def test_weighted_no_fails_when_the_solver_runs_out_of_budget(capsys):
-    # 1722 maximal matchings fit the budget, the 1916-node search does not
-    report = verify_lemma("weighted-no", {"budget": 1800})
-    agree = {c.name: c for c in report.checks}["exact-solvers-agree"]
+    # on the 1-colour gadget 15 maximal matchings fit the budget and the
+    # 24-node search does not (on the default 2-colour gadget the 673-node
+    # search already fits under its 1722 matchings)
+    report = verify_lemma("weighted-no", {"num_colors": 1, "budget": 20})
+    checks = {c.name: c for c in report.checks}
+    assert checks["matched-complement-identity"].ok and checks["unmatched-set-independent"].ok
+    agree = checks["exact-solvers-agree"]
     assert not agree.ok
-    assert agree.detail == "exact_mmm reached the budget of 1800 nodes"
-    assert run_cli("verify-lemma", "weighted-no", "--budget", "1800") == 1
-    assert "exact_mmm reached the budget of 1800 nodes" in capsys.readouterr().out
+    assert agree.detail == "exact_mmm reached the budget of 20 nodes"
+    assert run_cli("verify-lemma", "weighted-no", "--param", "num_colors=1", "--budget", "20") == 1
+    assert "exact_mmm reached the budget of 20 nodes" in capsys.readouterr().out
+    assert verify_lemma("weighted-no", {"num_colors": 1, "budget": 24}).ok
 
 
 def test_weighted_no_fails_when_enumeration_runs_out_of_budget(capsys):

@@ -181,6 +181,18 @@ def test_exact_mmm_padded_gadget_pinned():
     )
 
 
+def test_exact_mmm_settles_the_six_variable_gadget():
+    # a frontier rung: branching on the lowest free edge stops this search
+    # at 10^6 nodes, branching at the most constrained vertex settles it
+    instance = generate_yes(6, 2, xi=F(0), topology="cycle", seed=0)
+    gadget = build_gadget(instance, F(1, 4), "extended")
+    graph = gadget.to_graph()
+    result = exact_mmm(graph, weight=gadget.edge_weight, node_limit=10**6)
+    assert (result.status, result.value, result.nodes) == ("optimal", F(3, 4), 341163)
+    assert verify_maximal_matching(graph, result.witness)
+    assert gadget.matching_weight(result.witness) == result.value
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=2, max_value=7),
