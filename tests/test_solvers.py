@@ -137,12 +137,12 @@ def test_exact_mmm_over_sixty_vertices_stops_at_its_budget():
 
 def test_exact_mmm_weighted_gadget_pinned():
     # the 3-variable plus-weighted gadget behind the weighted-no lemma; the
-    # value, witness and node count were recorded from the Fraction-valued
-    # search this one replaced, so the search tree is unchanged
+    # value and witness are those of the Fraction-valued search this one
+    # replaced, which took 1916 nodes branching on the lowest free edge
     instance = generate_yes(3, 2, xi=F(0), topology="cycle", seed=0)
     gadget = build_gadget(instance, F(1, 4), "extended")
     result = exact_mmm(gadget.to_graph(), weight=gadget.edge_weight)
-    assert (result.status, result.value, result.nodes) == ("optimal", F(3, 4), 1916)
+    assert (result.status, result.value, result.nodes) == ("optimal", F(3, 4), 673)
     assert isinstance(result.value, Fraction)
     assert [(tuple(u), tuple(v)) for u, v in result.witness] == [
         ((0, 0), (0, 1)),
@@ -154,16 +154,16 @@ def test_exact_mmm_weighted_gadget_pinned():
 def test_exact_mmm_doubled_graph_pinned():
     big = bipartise(random_graph(12, 0.5, seed=0)).to_graph()
     result = exact_mmm(big)
-    assert (result.status, result.value, result.nodes) == ("optimal", 7, 5300)
+    assert (result.status, result.value, result.nodes) == ("optimal", 7, 992)
     assert isinstance(result.value, int)
     assert [(u.side, u.base, v.side, v.base) for u, v in result.witness] == [
-        ("l", 4, "r", 3),
-        ("l", 3, "r", 11),
-        ("l", 11, "r", 4),
-        ("l", 9, "r", 6),
+        ("l", 4, "r", 7),
         ("l", 6, "r", 9),
+        ("l", 11, "r", 3),
+        ("l", 3, "r", 11),
+        ("l", 9, "r", 6),
         ("l", 7, "r", 8),
-        ("l", 8, "r", 7),
+        ("l", 8, "r", 4),
     ]
 
 
@@ -171,13 +171,13 @@ def test_exact_mmm_padded_gadget_pinned():
     original, _, _ = random_planted_biclique(4, F(1, 4), seed=0)
     padded = sseh_gadget(original, F(1, 4)).graph.to_graph()
     result = exact_mmm(padded)
-    assert (result.status, result.value, result.nodes) == ("optimal", 5, 2146)
+    assert (result.status, result.value, result.nodes) == ("optimal", 5, 792)
     assert result.witness == (
-        (("a", 1), ("b", 1)),
-        (("a'", 0), ("b", 3)),
-        (("a", 3), ("b'", 0)),
-        (("a'", 1), ("b'", 1)),
-        (("a'", 2), ("b'", 2)),
+        (("a", 1), ("b'", 0)),
+        (("a", 3), ("b'", 1)),
+        (("a'", 0), ("b'", 2)),
+        (("a'", 1), ("b", 1)),
+        (("a'", 2), ("b", 3)),
     )
 
 
