@@ -309,9 +309,11 @@ def _cover_search(graph, weight: Callable | None, node_limit: int | None, total:
 def exact_mbb(bip: Bipartite, node_limit: int | None = None) -> SolveResult:
     """Maximum balanced biclique of a bipartite graph, by left-subset search.
 
-    Includes each left vertex in turn before leaving it out.  A search that
-    reaches ``node_limit`` stops with ``limit_reached`` and the best biclique
-    found so far.
+    Includes each left vertex in turn before leaving it out, and cuts a
+    node that cannot beat the best biclique even if it took every undecided
+    left vertex with a neighbour among the common right neighbours.  A
+    search that reaches ``node_limit`` stops with ``limit_reached`` and the
+    best biclique found so far.
     """
     left, right = bip.left, bip.right
     adj = _indexed(bip)[2]
@@ -331,7 +333,8 @@ def exact_mbb(bip: Bipartite, node_limit: int | None = None) -> SolveResult:
         size, width = chosen.bit_count(), common.bit_count()
         if min(size, width) > best_k:
             best_k, best_chosen, best_common = min(size, width), chosen, common
-        if i == len(left) or min(size + len(left) - i, width) <= best_k:
+        # only an undecided left vertex that meets ``common`` can grow the biclique
+        if min(size + sum(1 for mask in nb[i:] if mask & common), width) <= best_k:
             continue
         stack.append((i + 1, chosen, common))
         stack.append((i + 1, chosen | 1 << i, common & nb[i]))  # popped first

@@ -510,6 +510,22 @@ def test_exact_mbb_searches_deep_inputs():
     assert result.witness == ((n - 2, n - 1), (2 * n - 2, 2 * n - 1))
 
 
+def test_exact_mbb_bound_counts_only_left_vertices_that_meet_common():
+    # a ladder (left i joined to right i and i + 1) plus one edge closing a
+    # 2x2 biclique at the end; counting every undecided left vertex in the
+    # bound took 1,441,199 nodes here
+    n = 1200
+    g = Bipartite(left=range(n), right=range(n, 2 * n))
+    for i in range(n):
+        g.add_edge(i, n + i)
+        if i + 1 < n:
+            g.add_edge(i, n + i + 1)
+    g.add_edge(n - 1, 2 * n - 2)
+    result = exact_mbb(g)
+    assert (result.status, result.value, result.nodes) == ("optimal", 2, 4799)
+    assert result.witness == ((n - 2, n - 1), (2 * n - 2, 2 * n - 1))
+
+
 def test_exact_mbb_wide_sides_and_limits():
     # sides over 20 vertices were once refused; the budget bounds them now
     wide = Bipartite(left=range(21), right=range(21, 42))
