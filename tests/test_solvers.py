@@ -138,7 +138,7 @@ def test_exact_mmm_over_sixty_vertices_stops_at_its_budget():
 def test_exact_mmm_weighted_gadget_pinned():
     # the 3-variable plus-weighted gadget behind the weighted-no lemma; the
     # value and witness are those of the Fraction-valued search this one
-    # replaced, which took 1916 nodes branching on the lowest free edge
+    # replaced
     instance = generate_yes(3, 2, xi=F(0), topology="cycle", seed=0)
     gadget = build_gadget(instance, F(1, 4), "extended")
     result = exact_mmm(gadget.to_graph(), weight=gadget.edge_weight)
@@ -182,8 +182,8 @@ def test_exact_mmm_padded_gadget_pinned():
 
 
 def test_exact_mmm_settles_the_six_variable_gadget():
-    # a frontier rung: branching on the lowest free edge stops this search
-    # at 10^6 nodes, branching at the most constrained vertex settles it
+    # a frontier rung: branching at the most constrained vertex settles it
+    # under 10^6 nodes, branching on the lowest free edge does not
     instance = generate_yes(6, 2, xi=F(0), topology="cycle", seed=0)
     gadget = build_gadget(instance, F(1, 4), "extended")
     graph = gadget.to_graph()
@@ -512,8 +512,8 @@ def test_exact_mbb_searches_deep_inputs():
 
 def test_exact_mbb_bound_counts_only_left_vertices_that_meet_common():
     # a ladder (left i joined to right i and i + 1) plus one edge closing a
-    # 2x2 biclique at the end; counting every undecided left vertex in the
-    # bound took 1,441,199 nodes here
+    # 2x2 biclique at the end; a bound that also counted the left vertices
+    # with no neighbour in common would take 1,441,199 nodes here
     n = 1200
     g = Bipartite(left=range(n), right=range(n, 2 * n))
     for i in range(n):
