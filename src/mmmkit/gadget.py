@@ -93,6 +93,7 @@ class GadgetGraph:
         )
         self._images.update(dict.fromkeys(instance.edges, ()))
         self._constraints = dict(zip(instance.edges, instance.constraints))
+        self._weights: dict[int, Fraction] = {}  # matching weight by unit total
         self._planted_set: PlantedIndependentSet | None = None
         self._stage_plan: StagePlan | None = None
 
@@ -177,7 +178,9 @@ class GadgetGraph:
         image = self._images.get((x1, x2))
         if image is None:
             return False
-        return (image or self._image_table(x1, x2))[s1] & s2 == 0 and (x1 != x2 or s1 != s2)
+        if x1 == x2:  # the identity: disjoint and distinct
+            return s1 & s2 == 0 and s1 != s2
+        return (image or self._image_table(x1, x2))[s1] & s2 == 0
 
     def edge_within(
         self, vertices: Iterable[GadgetVertex]
@@ -233,10 +236,17 @@ class GadgetGraph:
 
     def matching_weight(self, matching: Iterable[tuple[GadgetVertex, GadgetVertex]]) -> Fraction:
         """The summed ``edge_weight`` of the matching's edges, added as
-        integers over the common denominator D."""
+        integers over the common denominator D.  The ``Fraction`` of each
+        unit total is built once per gadget and handed back on every later
+        call with that total."""
         units = self.units_by_size
-        total = sum(units[u.subset.bit_count()] + units[v.subset.bit_count()] for u, v in matching)
-        return Fraction(total, self.denominator)
+        total = 0
+        for u, v in matching:
+            total += units[u.subset.bit_count()] + units[v.subset.bit_count()]
+        weight = self._weights.get(total)
+        if weight is None:
+            weight = self._weights[total] = Fraction(total, self.denominator)
+        return weight
 
     def set_weight(self, vertex_set: Iterable[GadgetVertex]) -> Fraction:
         """The summed ``vertex_weight`` of the set, added in units over D."""

@@ -109,8 +109,12 @@ def exact_mmm(
     Later candidates ban the earlier ones to keep the search tree
     duplicate-free.  A node is cut when its value plus a bound from
     disjoint free edges, grown from the lowest one, cannot beat the best.
-    Edge weights must be positive ints or Fractions; the search runs on
-    edge bitmasks with the weights scaled to integers over their common
+    A child is also bounded when it is made, from the parent's disjoint
+    edges that it leaves free; a child so cut is pushed as a placeholder
+    that still counts as a node, since its own bound would cut it when
+    popped, so the node counts are those of bounding only on pop.  Edge
+    weights must be positive ints or Fractions; the search runs on edge
+    bitmasks with the weights scaled to integers over their common
     denominator, and a weighted call hands back a ``Fraction``.  A graph of
     more than ``MAX_MMM_EDGES`` edges is refused before its masks are built.
     """
@@ -139,14 +143,18 @@ def exact_mmm(
 
     nodes = 0
     status = "optimal"
-    # free-edge mask, banned-edge mask, value, chosen edges as (eid, parent) links
+    # free-edge mask, banned-edge mask, value, chosen edges as (eid, parent)
+    # links; None stands for a child that its parent's bound already cut
     stack = [(full, 0, 0, None)]
     while stack:
         if node_limit is not None and nodes >= node_limit:
             status = "limit_reached"
             break
         nodes += 1
-        free, banned, value, chosen = stack.pop()
+        node = stack.pop()
+        if node is None:
+            continue
+        free, banned, value, chosen = node
         if not free:
             if value < best_value:
                 best_value = value
@@ -159,17 +167,17 @@ def exact_mmm(
         allowed = free & ~banned
         if not allowed:
             continue
-        # lower bound: a disjoint set of undominated edges, each needing a
-        # matched endpoint, two per future matching edge at best
-        rest = free & keep[(free & -free).bit_length() - 1]
-        disjoint = 1
+        # lower bound: a disjoint set of undominated edges (``dmask``), each
+        # needing a matched endpoint, two per future matching edge at best
+        dmask, rest = 0, free
         while rest:
-            rest &= keep[(rest & -rest).bit_length() - 1]
-            disjoint += 1
+            low = rest & -rest
+            dmask |= low
+            rest &= keep[low.bit_length() - 1]
         for min_w, mask in classes:
             if mask & allowed:
                 break
-        if value + (disjoint + 1) // 2 * min_w >= best_value:
+        if value + (dmask.bit_count() + 1) // 2 * min_w >= best_value:
             continue
         # branch at the vertex with a free edge and the fewest allowed edges
         fewest = len(edges) + 1
@@ -182,15 +190,20 @@ def exact_mmm(
                         break
         first = (pick & -pick).bit_length() - 1
         candidates = allowed & kill[first]
-        new_ban = banned
-        children = []
+        # each child bans the candidates below it; highest pushed first, so
+        # the lowest is popped first.  A child's own greedy set is no smaller
+        # than ``dmask & child_free`` (dropping the chosen edge's two ends
+        # changes the greedy set along one alternating path per end), and
+        # its lightest allowed edge is no lighter than ``min_w``, so its own
+        # bound, taken when popped, is at least this one.
         while candidates:
-            bit = candidates & -candidates
-            eid = bit.bit_length() - 1
-            children.append((free & keep[eid], new_ban, value + wts[eid], (eid, chosen)))
-            new_ban |= bit
-            candidates ^= bit
-        stack.extend(reversed(children))
+            eid = candidates.bit_length() - 1
+            candidates ^= 1 << eid
+            child_free, child_value = free & keep[eid], value + wts[eid]
+            if child_value + ((dmask & child_free).bit_count() + 1) // 2 * min_w >= best_value:
+                stack.append(None)
+            else:
+                stack.append((child_free, banned | candidates, child_value, (eid, chosen)))
 
     witness = tuple((verts[edges[eid][0]], verts[edges[eid][1]]) for eid in best_chosen)
     return SolveResult(status, Fraction(best_value, denom) if weight is not None else best_value, witness, nodes)
@@ -205,9 +218,14 @@ def enumerate_maximal_matchings(graph) -> Iterator[tuple]:
     of the decision tree are exactly the maximal matchings.  The tree is
     walked depth first from an explicit stack, pairings in ascending
     neighbor order before the unmatched branch, and the pairs on the way to
-    the current node are kept in one list that is cut back on each pop.
+    the current node are kept in one list that is cut back on each pop.  A
+    vertex with no undecided neighbor is decided unmatched in place, or
+    ends its branch, without a push; the matchings share one tuple per pair.
     """
-    verts, _, adj = _indexed(graph)
+    verts, edges, adj = _indexed(graph)
+    pairs: list[dict[int, tuple]] = [{} for _ in verts]  # pairs[i][j] for each edge i < j
+    for i, j in edges:
+        pairs[i][j] = (verts[i], verts[j])
     full = (1 << len(verts)) - 1
     path: list[tuple] = []  # the pairs chosen on the way to the current node
     # decided mask, unmatched mask, length of the parent's path, pair added or None
@@ -217,18 +235,27 @@ def enumerate_maximal_matchings(graph) -> Iterator[tuple]:
         del path[depth:]
         if pair is not None:
             path.append(pair)
-        if decided == full:
+        while decided != full:
+            i = (~decided & (decided + 1)).bit_length() - 1  # lowest undecided
+            bit = 1 << i
+            fn = adj[i] & ~decided
+            if not fn:  # the forced unmatched step, or a dead end
+                if adj[i] & unmatched:
+                    break
+                decided |= bit
+                unmatched |= bit
+                continue
+            depth = len(path)
+            if not (adj[i] & unmatched):
+                stack.append((decided | bit, unmatched | bit, depth, None))
+            row = pairs[i]
+            while fn:  # highest neighbor first, so the lowest is popped first
+                j = fn.bit_length() - 1
+                fn ^= 1 << j
+                stack.append((decided | bit | 1 << j, unmatched, depth, row[j]))
+            break
+        else:
             yield tuple(path)
-            continue
-        depth = len(path)
-        i = (~decided & (decided + 1)).bit_length() - 1  # lowest undecided
-        if not (adj[i] & unmatched):
-            stack.append((decided | 1 << i, unmatched | 1 << i, depth, None))
-        fn = adj[i] & ~decided
-        while fn:  # highest neighbor first, so the lowest is popped first
-            j = fn.bit_length() - 1
-            fn ^= 1 << j
-            stack.append((decided | 1 << i | 1 << j, unmatched, depth, (verts[i], verts[j])))
 
 
 def exact_min_vertex_cover(graph, weight: Callable | None = None, node_limit: int | None = None) -> SolveResult:
@@ -311,33 +338,45 @@ def exact_mbb(bip: Bipartite, node_limit: int | None = None) -> SolveResult:
 
     Includes each left vertex in turn before leaving it out, and cuts a
     node that cannot beat the best biclique even if it took every undecided
-    left vertex with a neighbour among the common right neighbours.  A
-    search that reaches ``node_limit`` stops with ``limit_reached`` and the
-    best biclique found so far.
+    left vertex with a neighbour among the common right neighbours.  Each
+    node carries the mask of those vertices; including a vertex keeps only
+    the left neighbours of the right vertices still common.  A search that
+    reaches ``node_limit`` stops with ``limit_reached`` and the best
+    biclique found so far.
     """
     left, right = bip.left, bip.right
     adj = _indexed(bip)[2]
     nb = [mask >> len(left) for mask in adj[: len(left)]]  # right neighbour mask of each left vertex
+    lefts = adj[len(left) :]  # left neighbour mask of each right vertex
 
     best_k, best_chosen, best_common = 0, 0, 0
     nodes = 0
     status = "optimal"
-    # next left index, included left mask, mask of their common right neighbours
-    stack = [(0, 0, (1 << len(right)) - 1)]
+    # next left index, included left mask, mask of their common right
+    # neighbours, mask of the undecided left vertices that meet it
+    stack = [(0, 0, (1 << len(right)) - 1, sum(1 << k for k, mask in enumerate(nb) if mask))]
     while stack:
         if node_limit is not None and nodes >= node_limit:
             status = "limit_reached"
             break
         nodes += 1
-        i, chosen, common = stack.pop()
+        i, chosen, common, reach = stack.pop()
         size, width = chosen.bit_count(), common.bit_count()
         if min(size, width) > best_k:
             best_k, best_chosen, best_common = min(size, width), chosen, common
         # only an undecided left vertex that meets ``common`` can grow the biclique
-        if min(size + sum(1 for mask in nb[i:] if mask & common), width) <= best_k:
+        if min(size + reach.bit_count(), width) <= best_k:
             continue
-        stack.append((i + 1, chosen, common))
-        stack.append((i + 1, chosen | 1 << i, common & nb[i]))  # popped first
+        bit = 1 << i
+        reach &= ~bit
+        stack.append((i + 1, chosen, common, reach))
+        common &= nb[i]
+        meets, rest = 0, common
+        while rest:
+            low = rest & -rest
+            meets |= lefts[low.bit_length() - 1]
+            rest ^= low
+        stack.append((i + 1, chosen | bit, common, reach & meets))  # popped first
 
     left_part = tuple(left[i] for i in range(len(left)) if (best_chosen >> i) & 1)[:best_k]
     right_part = tuple(right[i] for i in range(len(right)) if (best_common >> i) & 1)[:best_k]

@@ -239,6 +239,19 @@ def test_integer_weight_sums_equal_fraction_sums(num_colors, epsilon, seed, rnd)
     assert gadget.total_weight() == gadget.set_weight(verts) == 1
 
 
+def test_matching_weights_are_cached_per_gadget():
+    # two gadgets with the same units (18, 6, 2) over different D: one unit
+    # total, a weight of its own in each
+    small = build_gadget(generate_yes(3, 2, xi=F(0), topology="cycle", seed=0), F(1, 4))
+    large = build_gadget(generate_yes(4, 2, xi=F(0), topology="cycle", seed=0), F(1, 4))
+    assert (small.units_by_size, small.denominator) == ((18, 6, 2), 96)
+    assert (large.units_by_size, large.denominator) == ((18, 6, 2), 128)
+    edge = (GadgetVertex(0, 0), GadgetVertex(0, 0b01))
+    for gadget, weight in ((small, F(1, 4)), (large, F(3, 16)), (small, F(1, 4))):
+        assert gadget.matching_weight([edge]) == gadget.edge_weight(*edge) == weight
+        assert gadget.matching_weight([]) == 0
+
+
 def test_planted_independent_set_weight_and_size():
     inst = generate_yes(4, 3, xi=0, seed=7)
     gadget = build_gadget(inst, F(1, 8))

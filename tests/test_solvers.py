@@ -21,6 +21,8 @@ from mmmkit.graphs import (
 from mmmkit.solvers import (
     SolveResult,
     _indexed,
+    _integer_weights,
+    _weight_classes,
     enumerate_maximal_matchings,
     exact_mbb,
     exact_min_total_vertex_cover,
@@ -322,6 +324,123 @@ def test_enumeration_order_matches_the_recursive_reference(n, p, seed, doubled):
     # a doubled graph has twice its base's vertices, so its base stays at 5 or fewer
     g = bipartise(random_graph(n // 2 + 1, p, seed=seed)).to_graph() if doubled else random_graph(n, p, seed=seed)
     assert list(enumerate_maximal_matchings(g)) == list(recursive_maximal_matchings(g))
+
+
+def reference_exact_mmm(graph, weight=None, node_limit=None):
+    """The search that ``exact_mmm`` replaced, kept here as the reference
+    for its values, witnesses and node counts: every child is pushed and
+    bounded only when it is popped."""
+    verts, edges, _ = _indexed(graph)
+    if weight is None:
+        wts, denom = [1] * len(edges), 1
+    else:
+        wts, denom = _integer_weights([weight(verts[i], verts[j]) for i, j in edges])
+    at = [0] * len(verts)
+    for eid, (i, j) in enumerate(edges):
+        at[i] |= 1 << eid
+        at[j] |= 1 << eid
+    kill = [at[i] | at[j] for i, j in edges]
+    keep = [~mask for mask in kill]
+    classes = _weight_classes(wts)
+
+    full = (1 << len(edges)) - 1
+    best_chosen, rest = [], full
+    while rest:
+        eid = (rest & -rest).bit_length() - 1
+        best_chosen.append(eid)
+        rest &= keep[eid]
+    best_value = sum(wts[eid] for eid in best_chosen)
+
+    nodes = 0
+    status = "optimal"
+    stack = [(full, 0, 0, None)]
+    while stack:
+        if node_limit is not None and nodes >= node_limit:
+            status = "limit_reached"
+            break
+        nodes += 1
+        free, banned, value, chosen = stack.pop()
+        if not free:
+            if value < best_value:
+                best_value = value
+                best_chosen = []
+                while chosen is not None:
+                    eid, chosen = chosen
+                    best_chosen.append(eid)
+                best_chosen.reverse()
+            continue
+        allowed = free & ~banned
+        if not allowed:
+            continue
+        rest = free & keep[(free & -free).bit_length() - 1]
+        disjoint = 1
+        while rest:
+            rest &= keep[(rest & -rest).bit_length() - 1]
+            disjoint += 1
+        for min_w, mask in classes:
+            if mask & allowed:
+                break
+        if value + (disjoint + 1) // 2 * min_w >= best_value:
+            continue
+        fewest = len(edges) + 1
+        for mask in at:
+            if mask & free:
+                count = (mask & allowed).bit_count()
+                if count < fewest:
+                    pick, fewest = mask & free, count
+                    if count < 2:
+                        break
+        first = (pick & -pick).bit_length() - 1
+        candidates = allowed & kill[first]
+        new_ban = banned
+        children = []
+        while candidates:
+            bit = candidates & -candidates
+            eid = bit.bit_length() - 1
+            children.append((free & keep[eid], new_ban, value + wts[eid], (eid, chosen)))
+            new_ban |= bit
+            candidates ^= bit
+        stack.extend(reversed(children))
+
+    witness = tuple((verts[edges[eid][0]], verts[edges[eid][1]]) for eid in best_chosen)
+    return SolveResult(status, Fraction(best_value, denom) if weight is not None else best_value, witness, nodes)
+
+
+MIXED_WEIGHTS = st.one_of(
+    st.integers(min_value=1, max_value=9),
+    st.builds(F, st.integers(min_value=1, max_value=30), st.sampled_from((2, 3, 4, 5, 7, 12))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=11),
+    st.sampled_from((0.2, 0.35, 0.5, 0.7, 0.9)),
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from(("unit", "int", "fraction")),
+    st.lists(MIXED_WEIGHTS, min_size=66, max_size=66),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=60)),
+)
+def test_exact_mmm_matches_the_reference_search_node_for_node(n, p, seed, kind, pool, node_limit):
+    g = random_graph(n, p, seed=seed)
+    weights = {e: w if kind == "fraction" else w.numerator for e, w in zip(g.edges(), pool)}
+
+    def weight(u, v):
+        return weights[(u, v)] if (u, v) in weights else weights[(v, u)]
+
+    if kind == "unit":
+        weight = None
+    got = exact_mmm(g, weight=weight, node_limit=node_limit)
+    assert tuple(got) == tuple(reference_exact_mmm(g, weight=weight, node_limit=node_limit))
+
+
+@pytest.mark.parametrize("num_vars", [3, 4])
+@pytest.mark.parametrize("node_limit", [None, 0, 1, 40, 600])
+def test_exact_mmm_matches_the_reference_search_on_weighted_gadgets(num_vars, node_limit):
+    gadget = build_gadget(generate_yes(num_vars, 2, xi=F(0), topology="cycle", seed=1), F(1, 4))
+    g = gadget.to_graph()
+    got = exact_mmm(g, weight=gadget.edge_weight, node_limit=node_limit)
+    assert tuple(got) == tuple(reference_exact_mmm(g, weight=gadget.edge_weight, node_limit=node_limit))
 
 
 def weighted_no_gadget_graph():
